@@ -5,7 +5,7 @@ intrinsic lower-bound sets, on top of a self-contained CDCL SAT solver and
 lazy unary objective encodings.
 """
 
-from .approx import CoeffApproxMap, Domain, approx_coefficients, as_ratio, compute_domain
+from .approx import CoeffApproxMap, approx_coefficients, as_ratio, compute_domain
 from .engine import (
     ApproxResult,
     RatioSchedule,
@@ -31,7 +31,6 @@ from .model import (
 __all__ = [
     "ApproxResult",
     "CoeffApproxMap",
-    "Domain",
     "Instance",
     "LinearExpr",
     "Literal",

@@ -30,28 +30,6 @@ def as_ratio(value: Ratio) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Sorted threshold values for one objective; last value exceeds the upper bound."""
-
-    objective: int
-    values: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise ValueError("a domain needs at least the lower bound and the sentinel")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("domain values must be strictly increasing")
-
-    @property
-    def lower(self) -> int:
-        return self.values[0]
-
-    @property
-    def sentinel(self) -> int:
-        return self.values[-1]
-
-
-@dataclass(frozen=True)
 class CoeffApproxMap:
     """A coefficient rounding: the weight grid and the rounded objective."""
 

@@ -54,12 +54,10 @@ class Encoder:
 class _ClauseSink:
     """Collects emitted clauses into the solver and counts them."""
 
-    def __init__(self, encoder: Encoder, objective: bool,
-                 record: Optional[List[Tuple[int, ...]]] = None):
+    def __init__(self, encoder: Encoder, objective: bool):
         self.encoder = encoder
         self.objective = objective
         self.emitted = 0
-        self.record = record
 
     def add(self, lits: Sequence[int]) -> None:
         self.encoder.solver.add_clause(lits)
@@ -69,8 +67,6 @@ class _ClauseSink:
             self.encoder.objective_clauses += 1
         else:
             self.encoder.constraint_clauses += 1
-        if self.record is not None:
-            self.record.append(tuple(lits))
 
 
 def _next_reachable(mask: int, bound: int) -> int:
@@ -84,12 +80,11 @@ def _next_reachable(mask: int, bound: int) -> int:
 class UnarySum:
     """Lazy unary representation of ``sum w_j * l_j`` over Boolean literals."""
 
-    def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False,
-                 record: Optional[List[Tuple[int, ...]]] = None):
+    def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False):
         # terms: (weight, signed literal), weights >= 1; sorted for determinism
         # and good node sharing (big weights near the root).
         self.encoder = encoder
-        self.sink = _ClauseSink(encoder, objective, record)
+        self.sink = _ClauseSink(encoder, objective)
         self.terms = sorted(terms, key=lambda t: (-t[0], abs(t[1]), t[1] < 0))
         n = len(self.terms)
         self.suffix_mask: List[int] = [0] * (n + 1)
@@ -171,14 +166,14 @@ class TotalizerSum:
     its sub-sum, with equivalence in both directions plus the intra-node
     ladder (``sum >= v`` implies ``sum >= v'`` for smaller v').  Terms are
     sorted by weight so equal coefficients merge with few distinct values.
-    Best when all thresholds will be requested (complete domains); for a
-    handful of thresholds the lazy ``UnarySum`` is far smaller.
+    Small when the weights take few distinct values, as after coefficient
+    rounding; on many distinct weights the lazy ``UnarySum`` is smaller even
+    when every threshold is requested.
     """
 
-    def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False,
-                 record: Optional[List[Tuple[int, ...]]] = None):
+    def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False):
         self.encoder = encoder
-        self.sink = _ClauseSink(encoder, objective, record)
+        self.sink = _ClauseSink(encoder, objective)
         ordered = sorted(terms, key=lambda t: (t[0], abs(t[1]), t[1] < 0))
         # leaf nodes: (sorted values, {value: literal})
         nodes: List[Tuple[List[int], Dict[int, int]]] = [
@@ -264,8 +259,7 @@ class ObjectiveLadder:
     """
 
     def __init__(self, encoder: Encoder, index: int, expr: LinearExpr,
-                 fixed: Sequence[int] = (), eager: bool = False,
-                 record: Optional[List[Tuple[int, ...]]] = None):
+                 fixed: Sequence[int] = (), eager: bool = False):
         self.encoder = encoder
         self.index = index
         self.expr = expr
@@ -282,21 +276,12 @@ class ObjectiveLadder:
                 terms.append((coeff, signed))
         self.constant = constant
         sum_cls = TotalizerSum if eager else UnarySum
-        self.sum = sum_cls(encoder, terms, objective=True, record=record)
+        self.sum = sum_cls(encoder, terms, objective=True)
         self._thresholds: Dict[int, int] = {}
 
     @property
     def clauses_emitted(self) -> int:
         return self.sum.clauses_emitted
-
-    @property
-    def thresholds(self) -> Dict[int, int]:
-        """Thresholds encoded so far, mapped to their literals."""
-        return dict(self._thresholds)
-
-    def stop_recording(self) -> None:
-        """Stop mirroring emitted clauses into the construction-time record."""
-        self.sum.sink.record = None
 
     def reachable_values(self) -> List[int]:
         """Attainable objective values (over all assignments), ascending."""
@@ -322,10 +307,6 @@ class ObjectiveLadder:
             lit = -g
         self._thresholds[d] = lit
         return lit
-
-    def threshold_lit(self, d: int) -> int:
-        """Like encode_lt but errors if the threshold was never encoded."""
-        return self._thresholds[d]
 
 
 def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> int:
@@ -376,13 +357,10 @@ def encode_instance_constraints(encoder: Encoder, instance: Instance) -> int:
 
 
 def encode_objective(encoder: Encoder, index: int, expr: LinearExpr,
-                     fixed: Sequence[int] = (), eager: bool = False,
-                     record: Optional[List[Tuple[int, ...]]] = None) -> ObjectiveLadder:
+                     fixed: Sequence[int] = (), eager: bool = False) -> ObjectiveLadder:
     """Build the unary structure for one (possibly approximate) objective.
 
     ``eager`` selects the pairwise-merge totalizer, which materializes every
     attainable value up front; the default is the lazy per-threshold form.
-    ``record`` mirrors every emitted clause (structure and thresholds) so a
-    caller can replay the encoding into another solver.
     """
-    return ObjectiveLadder(encoder, index, expr, fixed, eager=eager, record=record)
+    return ObjectiveLadder(encoder, index, expr, fixed, eager=eager)

@@ -1,25 +1,30 @@
 """Enumeration drivers: single-pass MCS enumeration and the two
-re-approximation loops (coefficient rounding and interval thinning).
+re-approximation drivers (coefficient rounding and interval thinning).
 
 The single-pass enumerator pulls one MCS at a time, records the witness
 and its image under the original objectives, adds the representative point
-to the lower-bound set and blocks the region it weakly dominates.  The
-drivers wrap it:
+to the lower-bound set and blocks the region it weakly dominates.
 
-* the coefficient driver rebuilds a fresh solver each iteration (clause
-  addition is monotone, so retracting an iteration's state means starting
-  over), re-rounds the objectives, blocks regions around known solutions
-  under the new rounding, and tightens the ratio;
-* the interval driver encodes the original objectives once, thins the
-  threshold domains per iteration, and keeps one growing solver.  Its
-  per-iteration region blocks from the enumerator are guarded by a
-  selector that is retired when the iteration ends; only the blocks at
-  images of found solutions stay permanently.
+Both drivers run it inside one iteration loop, which owns the ratio
+schedule, the record and lower-bound filters, the trace and the stop rules.
+A driver only prepares each iteration:
 
-Iteration-scoped state never outlives its iteration; a wall-clock budget is
-honored between solver calls (and interrupts long calls), returning partial
-results flagged as truncated with the ratio warranted by the last completed
-iteration.
+* the coefficient driver builds a fresh solver (clause addition is
+  monotone, so retracting an iteration's state means starting over),
+  rounds the objectives onto the ratio's weight grid and blocks the regions
+  around known solutions under that rounding; an identity rounding proves
+  the front exact;
+* the interval driver encodes the original objectives once into one
+  growing solver, thins the threshold domains to the ratio's grid, and
+  permanently blocks the regions at the images of the previous iteration's
+  finds; an iteration that finds nothing new proves the front exact.
+
+When the solver outlives the iteration, the loop guards the enumerator's
+region blocks with a selector and retires it when the iteration ends, so
+iteration-scoped state never outlives its iteration.  A wall-clock budget
+is honored between solver calls (and interrupts long calls), returning
+partial results flagged as truncated with the ratio warranted by the last
+completed iteration.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .approx import Ratio, approx_coefficients, as_ratio, compute_domain
+from .approx import approx_coefficients, as_ratio, compute_domain
 from .encode import Encoder, encode_instance_constraints, encode_objective
 from .mcs import McsInvariantError, SoftSet, check_witness_bounds, extract_mcs
 from .model import (
@@ -132,6 +137,9 @@ class ApproxResult:
         return tuple(rec.image for rec in self.records)
 
 
+_INFEASIBLE = ApproxResult((), (), None, False, True, ())
+
+
 @dataclass
 class PreparedObjective:
     """One objective wired into a solver: expression, thresholds, literal lookup."""
@@ -139,7 +147,6 @@ class PreparedObjective:
     expr: LinearExpr
     domain: Tuple[int, ...]
     encode_lt: Callable[[int], int]
-    clause_count: Callable[[], int]
 
 
 @dataclass
@@ -206,264 +213,100 @@ def mcs_approx(
         log.debug("mcs %d: rep=%s image=%s", len(reps), rep, image)
 
 
-@dataclass
-class _LadderTemplate:
-    """Recorded CNF of one rounded objective, replayable into a fresh solver.
-
-    Variables at or below ``base_end`` (decision vars, constraint
-    auxiliaries, the constant-true var) are identical across iterations and
-    map unchanged; the window (v0, v0+aux_count] shifts to wherever the
-    replaying solver currently is.
-    """
-
-    base_end: int
-    v0: int
-    aux_count: int
-    clauses: List[Tuple[int, ...]]
-    thresholds: Dict[int, int]
-    reachable: List[int]
+def _constrained_solver(instance: Instance,
+                        seed: int) -> Tuple[SatSolver, Encoder, Tuple[int, ...]]:
+    """A fresh solver holding the constraints, its encoder, and the literals
+    fixed at the root.  ``solver.ok`` is False when root propagation refutes
+    the constraints."""
+    solver = SatSolver(seed)
+    encoder = Encoder(solver)
+    encode_instance_constraints(encoder, instance)
+    encoder.true_lit()  # pin the constant-true var at a fixed index
+    solver.propagate_root()
+    return solver, encoder, tuple(sorted(solver.fixed_literals()))
 
 
-class _ReplayedLadder:
-    def __init__(self, template: _LadderTemplate, solver: SatSolver, encoder: Encoder):
-        offset = solver.num_vars - template.v0
-        for _ in range(template.aux_count):
-            solver.new_var()
-
-        def remap(lit: int) -> int:
-            var = abs(lit)
-            if var > template.base_end:
-                var += offset
-            return var if lit > 0 else -var
-
-        for clause in template.clauses:
-            solver.add_clause([remap(l) for l in clause])
-        encoder.objective_clauses += len(template.clauses)
-        self._emitted = len(template.clauses)
-        self.thresholds = {d: remap(lit) for d, lit in template.thresholds.items()}
-        self.reachable = template.reachable
-
-    def encode_lt(self, d: int) -> int:
-        return self.thresholds[d]
-
-    @property
-    def clauses_emitted(self) -> int:
-        return self._emitted
-
-
-class _BaseBuilder:
-    """Builds the constraint CNF shared by every iteration."""
-
-    def __init__(self, instance: Instance, seed: int):
-        self.instance = instance
-        self.seed = seed
-
-    def build(self) -> Tuple[SatSolver, Encoder, bool]:
-        solver = SatSolver(self.seed)
-        encoder = Encoder(solver)
-        encode_instance_constraints(encoder, self.instance)
-        encoder.true_lit()  # pin the constant-true var at a fixed index
-        ok = solver.propagate_root()
-        return solver, encoder, ok
-
-
-def _complete_domain(ladder) -> Tuple[int, ...]:
+def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr,
+                     fixed: Sequence[int]) -> PreparedObjective:
+    """Eager ladder of ``expr`` whose domain is every attainable value plus
+    one past the largest."""
+    ladder = encode_objective(encoder, index, expr, fixed, eager=True)
     reachable = ladder.reachable_values()
-    return tuple(reachable) + (reachable[-1] + 1,)
+    domain = tuple(reachable) + (reachable[-1] + 1,)
+    for d in domain:
+        ladder.encode_lt(d)
+    return PreparedObjective(expr, domain, ladder.encode_lt)
 
 
-def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
-    """Coefficient-based re-approximation driver.
+@dataclass
+class _Iteration:
+    """What one re-approximation iteration enumerates over."""
 
-    Each iteration rounds every objective onto the current ratio grid,
-    encodes the rounded objectives with complete threshold domains into a
-    fresh solver (unchanged objectives replay their recorded CNF), blocks
-    the regions weakly dominated by the rounded images of known solutions,
-    and runs the MCS enumerator.  Stops when the rounding is exact, the
-    target ratio is warranted, or the budget runs out.
+    solver: SatSolver
+    encoder: Encoder
+    prepared: List[PreparedObjective]
+    seeds: List[Point]  # lower bounds known before enumerating
+    shared: bool  # the solver outlives the iteration: guard its region blocks
+    complete: bool  # every attainable value is a threshold
+    proves_exact: Callable[[McsApproxOutcome], bool]
+
+
+def _reapproximate(instance: Instance, schedule: RatioSchedule, budget: Budget,
+                   prepare: Callable[..., Optional[_Iteration]], name: str) -> ApproxResult:
+    """The iteration loop of the re-approximation drivers.
+
+    ``prepare(ratio, records, fresh)`` wires up one iteration, given the
+    nondominated records so far and those the previous iteration added; it
+    returns None when the budget ran out while encoding.  The lower bounds
+    and the ratio are committed only by an iteration whose enumeration
+    completed.
     """
-    budget = Budget.of(schedule)
-    base = _BaseBuilder(instance, seed)
-    cache: Dict[tuple, _LadderTemplate] = {}
     records: List[SolutionRecord] = []
-    lower_committed: List[Point] = []
-    warranted: Optional[Fraction] = None
-    trace: List[IterationTrace] = []
-    truncated = False
-    infeasible = False
-    ratio = schedule.start
-    seq = 0
-    while True:
-        seq += 1
-        t0 = time.monotonic()
-        solver, encoder, ok = base.build()
-        if not ok:
-            infeasible = True
-            break
-        fixed = tuple(sorted(solver.fixed_literals()))
-        base_end = solver.num_vars
-        prepared: List[PreparedObjective] = []
-        exact = True
-        aborted_build = False
-        for k, f in enumerate(instance.objectives):
-            if budget.exceeded(encoder):
-                aborted_build = True
-                break
-            fprime = approx_coefficients(f, ratio).approx
-            exact = exact and fprime == f
-            key = (k, tuple((c, l.to_signed()) for c, l in fprime.terms), fprime.constant, fixed)
-            template = cache.get(key)
-            if template is not None and template.base_end == base_end:
-                ladder = _ReplayedLadder(template, solver, encoder)
-                domain = tuple(ladder.reachable) + (ladder.reachable[-1] + 1,)
-            else:
-                v0 = solver.num_vars
-                emitted: List[Tuple[int, ...]] = []
-                built = encode_objective(encoder, k, fprime, fixed, eager=True, record=emitted)
-                domain = _complete_domain(built)
-                for d in domain:
-                    built.encode_lt(d)
-                built.stop_recording()
-                cache[key] = _LadderTemplate(
-                    base_end=base_end,
-                    v0=v0,
-                    aux_count=solver.num_vars - v0,
-                    clauses=emitted,
-                    thresholds=built.thresholds,
-                    reachable=built.reachable_values(),
-                )
-                ladder = built
-            prepared.append(
-                PreparedObjective(fprime, domain, ladder.encode_lt,
-                                  lambda lad=ladder: lad.clauses_emitted)
-            )
-        if aborted_build:
-            truncated = True
-            break
-        seeds: List[Point] = []
-        for rec in records:
-            z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
-            solver.add_clause([prep.encode_lt(z[k]) for k, prep in enumerate(prepared)])
-            seeds.append(z)
-        outcome = mcs_approx(solver, prepared, instance, budget, complete=True)
-        records = nondominated_filter(records + outcome.records, key=lambda r: r.image)
-        lower_iter = nondominated_filter(seeds + outcome.lower_bounds)
-        trace.append(IterationTrace(
-            seq=seq,
-            ratio=ratio,
-            new_images=tuple(rec.image for rec in outcome.records),
-            new_lower_bounds=tuple(outcome.lower_bounds),
-            mcs_count=outcome.mcs_count,
-            objective_clauses=encoder.objective_clauses,
-            completed=outcome.completed,
-            wall_s=time.monotonic() - t0,
-        ))
-        log.info("coeff iteration %d at ratio %s: %d new records, completed=%s",
-                 seq, ratio, len(outcome.records), outcome.completed)
-        if not outcome.completed:
-            truncated = True
-            break
-        lower_committed = lower_iter
-        warranted = ratio
-        if exact:
-            warranted = Fraction(1)  # identity rounding: the front is complete
-            break
-        if ratio <= schedule.target:
-            break
-        if budget.exceeded(encoder):
-            truncated = True
-            break
-        ratio = update_ratio(schedule, ratio)
-    return ApproxResult(
-        records=tuple(records),
-        lower_bounds=tuple(lower_committed),
-        warranted_ratio=warranted,
-        truncated=truncated,
-        infeasible=infeasible,
-        trace=tuple(trace),
-    )
-
-
-def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
-    """Interval-based re-approximation driver.
-
-    The original objectives are encoded once; each iteration computes the
-    threshold grid for the current ratio, lazily encodes new thresholds,
-    permanently blocks the regions weakly dominated by the images of the
-    previous iteration's finds, and enumerates with iteration-scoped region
-    blocks.  Stops when an iteration finds nothing new (the record set then
-    is the exact Pareto front), the target is warranted, or the budget ends.
-    """
-    budget = Budget.of(schedule)
-    solver, encoder, ok = _BaseBuilder(instance, seed).build()
-    if not ok:
-        return ApproxResult((), (), None, False, True, ())
-    fixed = tuple(sorted(solver.fixed_literals()))
-    ladders = [encode_objective(encoder, k, f, fixed) for k, f in enumerate(instance.objectives)]
-    records: List[SolutionRecord] = []
-    previous_new: List[SolutionRecord] = []
+    fresh: List[SolutionRecord] = []
     lower_committed: List[Point] = []
     warranted: Optional[Fraction] = None
     trace: List[IterationTrace] = []
     truncated = False
     ratio = schedule.start
-    seq = 0
     while True:
-        seq += 1
         t0 = time.monotonic()
-        prepared: List[PreparedObjective] = []
-        aborted_build = False
-        for k, ladder in enumerate(ladders):
-            if budget.exceeded(encoder):
-                aborted_build = True
-                break
-            domain = compute_domain(instance.lower_bounds[k], instance.upper_bounds[k], ratio)
-            for d in domain:
-                ladder.encode_lt(d)
-            prepared.append(
-                PreparedObjective(instance.objectives[k], domain, ladder.encode_lt,
-                                  lambda lad=ladder: lad.clauses_emitted)
-            )
-        if aborted_build:
+        step = prepare(ratio, records, fresh)
+        if step is None:
             truncated = True
             break
-        for rec in previous_new:
-            solver.add_clause([ladders[k].encode_lt(rec.image[k])
-                               for k in range(instance.num_objectives)])
-        lower_base: List[Point] = [rec.image for rec in records]
-        guard = solver.new_var()
-        outcome = mcs_approx(solver, prepared, instance, budget,
-                             guard=guard, complete=(ratio == 1))
-        solver.add_clause([-guard])
+        guard = step.solver.new_var() if step.shared else None
+        outcome = mcs_approx(step.solver, step.prepared, instance, budget,
+                             guard=guard, complete=step.complete)
+        if guard is not None:
+            step.solver.add_clause([-guard])  # retire the iteration's region blocks
         records = nondominated_filter(records + outcome.records, key=lambda r: r.image)
-        lower_iter = nondominated_filter(lower_base + outcome.lower_bounds)
+        lower_iter = nondominated_filter(step.seeds + outcome.lower_bounds)
         trace.append(IterationTrace(
-            seq=seq,
+            seq=len(trace) + 1,
             ratio=ratio,
             new_images=tuple(rec.image for rec in outcome.records),
             new_lower_bounds=tuple(outcome.lower_bounds),
             mcs_count=outcome.mcs_count,
-            objective_clauses=encoder.objective_clauses,
+            objective_clauses=step.encoder.objective_clauses,
             completed=outcome.completed,
             wall_s=time.monotonic() - t0,
         ))
-        log.info("interval iteration %d at ratio %s: %d new records, completed=%s",
-                 seq, ratio, len(outcome.records), outcome.completed)
+        log.info("%s iteration %d at ratio %s: %d new records, completed=%s",
+                 name, len(trace), ratio, len(outcome.records), outcome.completed)
         if not outcome.completed:
             truncated = True
             break
         lower_committed = lower_iter
         warranted = ratio
-        if not outcome.records:
-            # nothing outside the blocked region: records are the Pareto front
+        if step.proves_exact(outcome):
             warranted = Fraction(1)
             break
         if ratio <= schedule.target:
             break
-        if budget.exceeded(encoder):
+        if budget.exceeded(step.encoder):
             truncated = True
             break
-        previous_new = outcome.records
+        fresh = outcome.records
         ratio = update_ratio(schedule, ratio)
     return ApproxResult(
         records=tuple(records),
@@ -473,6 +316,81 @@ def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> A
         infeasible=False,
         trace=tuple(trace),
     )
+
+
+def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
+    """Coefficient-based re-approximation driver.
+
+    Each iteration rounds every objective onto the current ratio's weight
+    grid and encodes the rounded objectives, with complete threshold
+    domains, into a fresh solver.  It blocks the regions weakly dominated by
+    the rounded images of known solutions, which also seed its lower bounds,
+    and runs the MCS enumerator.  Stops when the rounding is the identity
+    (the front is then exact), the target ratio is warranted, or the budget
+    runs out.
+    """
+    budget = Budget.of(schedule)
+    base: Optional[tuple] = _constrained_solver(instance, seed)
+    if not base[0].ok:
+        return _INFEASIBLE
+
+    def prepare(ratio, records, fresh):
+        nonlocal base
+        # the first iteration takes the solver of the feasibility check
+        solver, encoder, fixed = base or _constrained_solver(instance, seed)
+        base = None
+        prepared: List[PreparedObjective] = []
+        exact = True
+        for k, f in enumerate(instance.objectives):
+            if budget.exceeded(encoder):
+                return None
+            rounding = approx_coefficients(f, ratio)
+            exact = exact and rounding.exact
+            prepared.append(_complete_ladder(encoder, k, rounding.approx, fixed))
+        seeds: List[Point] = []
+        for rec in records:
+            z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
+            solver.add_clause([prep.encode_lt(z[k]) for k, prep in enumerate(prepared)])
+            seeds.append(z)
+        return _Iteration(solver, encoder, prepared, seeds, shared=False, complete=True,
+                          proves_exact=lambda outcome: exact)
+
+    return _reapproximate(instance, schedule, budget, prepare, "coeff")
+
+
+def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
+    """Interval-based re-approximation driver.
+
+    The original objectives are encoded once into one growing solver; each
+    iteration computes the threshold grid for the current ratio, lazily
+    encodes new thresholds, and permanently blocks the regions weakly
+    dominated by the images of the previous iteration's finds.  The images
+    of all records seed its lower bounds.  Stops when an iteration finds
+    nothing new (the records then are the exact Pareto front), the target is
+    warranted, or the budget runs out.
+    """
+    budget = Budget.of(schedule)
+    solver, encoder, fixed = _constrained_solver(instance, seed)
+    if not solver.ok:
+        return _INFEASIBLE
+    ladders = [encode_objective(encoder, k, f, fixed) for k, f in enumerate(instance.objectives)]
+
+    def prepare(ratio, records, fresh):
+        prepared: List[PreparedObjective] = []
+        for k, ladder in enumerate(ladders):
+            if budget.exceeded(encoder):
+                return None
+            domain = compute_domain(instance.lower_bounds[k], instance.upper_bounds[k], ratio)
+            for d in domain:
+                ladder.encode_lt(d)
+            prepared.append(PreparedObjective(instance.objectives[k], domain, ladder.encode_lt))
+        for rec in fresh:
+            solver.add_clause([ladder.encode_lt(rec.image[k]) for k, ladder in enumerate(ladders)])
+        return _Iteration(solver, encoder, prepared, [rec.image for rec in records],
+                          shared=True, complete=(ratio == 1),
+                          proves_exact=lambda outcome: not outcome.records)
+
+    return _reapproximate(instance, schedule, budget, prepare, "interval")
 
 
 def solve_exact(instance: Instance, budget_s: Optional[float] = None,
@@ -493,19 +411,10 @@ def enumerate_efficient_set(
     records and whether enumeration ran to exhaustion.
     """
     budget = Budget(budget_s)
-    solver, encoder, ok = _BaseBuilder(instance, seed).build()
-    if not ok:
+    solver, encoder, fixed = _constrained_solver(instance, seed)
+    if not solver.ok:
         return (), True
-    fixed = tuple(sorted(solver.fixed_literals()))
-    ladders = [encode_objective(encoder, k, f, fixed, eager=True)
-               for k, f in enumerate(instance.objectives)]
-    prepared = []
-    for k, ladder in enumerate(ladders):
-        domain = _complete_domain(ladder)
-        for d in domain:
-            ladder.encode_lt(d)
-        prepared.append(PreparedObjective(instance.objectives[k], domain, ladder.encode_lt,
-                                          lambda lad=ladder: lad.clauses_emitted))
+    prepared = [_complete_ladder(encoder, k, f, fixed) for k, f in enumerate(instance.objectives)]
     softs = _build_softs(prepared)
     records: List[SolutionRecord] = []
     while True:

@@ -183,11 +183,6 @@ def extract_mcs(
     return Mcs(falsified, rep, succ, witness)
 
 
-def representative_point(mcs: Mcs) -> Point:
-    """Largest falsified threshold per objective."""
-    return tuple(max(thresholds) for thresholds in mcs.falsified)
-
-
 def check_witness_bounds(mcs: Mcs, values: Sequence[int], complete: bool = False) -> None:
     """Verify representative <= f'(witness) < successor (equality when complete)."""
     for k, value in enumerate(values):

@@ -181,12 +181,6 @@ def dominates(z: Sequence[int], z2: Sequence[int]) -> bool:
     return weakly_dominates(z, z2) and tuple(z) != tuple(z2)
 
 
-def strictly_dominates(z: Sequence[int], z2: Sequence[int]) -> bool:
-    if len(z) != len(z2):
-        raise ValueError(f"point lengths differ: {len(z)} vs {len(z2)}")
-    return all(a < b for a, b in zip(z, z2))
-
-
 def nondominated_filter(items: Iterable, key: Callable = None) -> list:
     """Keep the elements not dominated by any other element.
 

@@ -139,8 +139,6 @@ class SatSolver:
         self.reason: List[int] = [-1]
         self.activity: List[float] = [0.0]
         self.phase: List[int] = [0]  # saved polarity, 0 -> assign false first
-        self.decidable: List[int] = [0]
-        self.decision_cutoff: Optional[int] = None
         # literal-code-indexed watch lists: watches[code] holds (clause, blocker)
         # pairs to visit when literal `code` becomes false
         self.watches: List[List] = [[], []]
@@ -189,23 +187,11 @@ class SatSolver:
         self.phase.append(0)
         self.litval.append(0)
         self.litval.append(0)
-        decidable = self.decision_cutoff is None or var <= self.decision_cutoff
-        self.decidable.append(1 if decidable else 0)
         self.watches.append([])
         self.watches.append([])
         self.order.grow(var)
-        if decidable:
-            self.order.insert(var)
+        self.order.insert(var)
         return var
-
-    def limit_decisions_to(self, cutoff: int) -> None:
-        """Branch only on variables <= cutoff; later variables must be fully
-        determined by unit propagation (true for the unary sum encodings) or
-        assigned via assumptions.  A completeness fallback still decides any
-        leftover variable."""
-        self.decision_cutoff = cutoff
-        for var in range(1, len(self.assigns)):
-            self.decidable[var] = 1 if var <= cutoff else 0
 
     def _value_code(self, code: int) -> int:
         val = self.assigns[code >> 1]
@@ -352,7 +338,7 @@ class SatSolver:
             litval[code] = 0
             litval[code ^ 1] = 0
             self.reason[var] = -1
-            if self.decidable[var] and not order.contains(var):
+            if not order.contains(var):
                 order.insert(var)
         del self.trail[bound:]
         del self.trail_lim[target:]
@@ -460,24 +446,19 @@ class SatSolver:
     def _pick_branch(self) -> int:
         order = self.order
         assigns = self.assigns
-        decidable = self.decidable
         while not order.empty():
             var = order.pop()
-            if assigns[var] == 0 and decidable[var]:
+            if assigns[var] == 0:
                 return (var << 1) | (0 if self.phase[var] else 1)
-        if self.decision_cutoff is not None and len(self.trail) < self.num_vars:
-            # leftovers should be propagation-determined; decide them anyway
-            for var in range(1, len(assigns)):
-                if assigns[var] == 0:
-                    return (var << 1) | (0 if self.phase[var] else 1)
         return -1
 
     def solve(self, assumptions: Sequence[int] = (), deadline: Optional[float] = None) -> bool:
         """Solve under unit assumptions.
 
         Returns True with a complete model, or False (unsatisfiable under the
-        assumptions).  Raises SolveBudgetExceeded past ``deadline``
-        (time.monotonic seconds).
+        assumptions).  Raises SolveBudgetExceeded once ``deadline``
+        (time.monotonic seconds) has passed; the clock is read before every
+        propagation pass, so a call overruns by at most one pass.
         """
         self.stats["solve_calls"] += 1
         self._cancel_until(0)
@@ -495,8 +476,10 @@ class SatSolver:
         if self.max_learnts <= 0:
             self.max_learnts = max(1000.0, self.num_original_clauses / 3.0)
         conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])
-        check_counter = 0
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                self._cancel_until(0)
+                raise SolveBudgetExceeded()
             confl = self._propagate()
             if confl != -1:
                 self.stats["conflicts"] += 1
@@ -513,12 +496,6 @@ class SatSolver:
                     self._unchecked_enqueue(learnt[0], idx)
                 self.var_inc /= self.VAR_DECAY
                 self.cla_inc /= self.CLA_DECAY
-                check_counter += 1
-                if deadline is not None and check_counter >= 128:
-                    check_counter = 0
-                    if time.monotonic() > deadline:
-                        self._cancel_until(0)
-                        raise SolveBudgetExceeded()
                 continue
             if conflicts_left <= 0:
                 self.stats["restarts"] += 1

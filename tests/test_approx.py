@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobosat.approx import Domain, approx_coefficients, as_ratio, compute_domain
+from mobosat.approx import approx_coefficients, as_ratio, compute_domain
 from mobosat.model import LinearExpr, Literal, evaluate
 
 
@@ -53,15 +53,6 @@ class TestComputeDomain:
             containing = [i for i in range(len(values) - 1)
                           if values[i] <= v < values[i + 1]]
             assert len(containing) == 1
-
-
-class TestDomainType:
-    def test_validation(self):
-        Domain(0, (1, 2, 4))
-        with pytest.raises(ValueError):
-            Domain(0, (1,))
-        with pytest.raises(ValueError):
-            Domain(0, (2, 2, 3))
 
 
 class TestCoefficients:

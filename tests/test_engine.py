@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mobosat.engine import (
     solve_exact,
     update_ratio,
 )
+from mobosat.io import generate_mscp
 from mobosat.model import (
     Instance,
     LinearExpr,
@@ -142,12 +144,23 @@ class TestCoefficientDriver:
         assert sorted(result.images) == [
             (1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]
 
-    def test_encoding_replay_matches_fresh(self, unconstrained_biobjective):
+    def test_unchanged_rounding_across_iterations(self, unconstrained_biobjective):
         # objective 2 rounds identically at ratios 4 and 2, so iteration 2
-        # replays its recorded CNF; results must match a fresh-only run
-        replayed = core_solve(unconstrained_biobjective, schedule(4, divisor=2, target=2))
-        assert sorted(replayed.lower_bounds) == [
+        # rebuilds the same ladder in its fresh solver
+        result = core_solve(unconstrained_biobjective, schedule(4, divisor=2, target=2))
+        assert sorted(result.lower_bounds) == [
             (1, 17), (2, 13), (4, 9), (6, 5), (8, 1)]
+
+    def test_per_iteration_sizes_on_covering_instance(self):
+        # objective 1 rounds to itself at every ratio, so three of the eight
+        # ladders repeat one built in an earlier iteration's solver
+        result = core_solve(generate_mscp(20, 6, 2, seed=5),
+                            RatioSchedule(start=11, divisor=10))
+        assert [(t.ratio, t.objective_clauses, t.mcs_count) for t in result.trace] == [
+            (11, 1890, 1), (2, 3179, 1), (Fraction(11, 10), 34913, 0),
+            (Fraction(101, 100), 42784, 0)]
+        assert result.warranted_ratio == 1
+        assert len(result.records) == 1
 
 
 class TestEfficientSet:
@@ -225,6 +238,14 @@ class TestBudget:
     def test_partial_records_kept(self, unconstrained_biobjective):
         result = intre_solve(unconstrained_biobjective, schedule(1, budget=1e-9))
         assert result.truncated
+
+    def test_interval_driver_returns_near_budget(self):
+        # few conflicts per solve call: the deadline must still be read
+        instance = generate_mscp(60, 20, 3, 2)
+        start = time.monotonic()
+        result = intre_solve(instance, RatioSchedule(start=101, divisor=10, budget_s=3))
+        assert result.truncated
+        assert time.monotonic() - start < 3 + 2
 
     def test_memory_cap_truncates(self, unconstrained_biobjective):
         tight = RatioSchedule(start=Fraction(4), divisor=Fraction(2),

@@ -9,7 +9,6 @@ from mobosat.mcs import (
     check_witness_bounds,
     extract_mcs,
     extract_mcs_literals,
-    representative_point,
 )
 from mobosat.model import evaluate
 from mobosat.sat import SatSolver
@@ -103,7 +102,6 @@ class TestThresholdMcs:
         mcs = extract_mcs(solver, softs)
         assert mcs.falsified == ((0, 2, 3),)
         assert mcs.representative == (3,)
-        assert representative_point(mcs) == (3,)
         assert mcs.successor == (4,)
         # block and confirm uniqueness
         solver.add_clause([ladder.encode_lt(3)])

@@ -14,7 +14,6 @@ from mobosat.model import (
     normalize_expression,
     normalize_objective,
     satisfies,
-    strictly_dominates,
     weakly_dominates,
 )
 
@@ -108,7 +107,6 @@ class TestDominance:
     @given(points)
     def test_reflexive(self, z):
         assert weakly_dominates(z, z)
-        assert not strictly_dominates(z, z)
         assert not dominates(z, z)
 
     @given(points, points, points)

@@ -182,3 +182,12 @@ class TestExtras:
         import time
         with pytest.raises(SolveBudgetExceeded):
             solver.solve(deadline=time.monotonic() + 0.001)
+
+    def test_expired_deadline_raises_before_any_decision(self):
+        # satisfiable without a single conflict: the clock must be read anyway
+        solver = make_solver(20, [[v, v + 1] for v in range(1, 20)])
+        import time
+        with pytest.raises(SolveBudgetExceeded):
+            solver.solve(deadline=time.monotonic() - 1)
+        assert solver.stats["decisions"] == 0
+        assert solver.solve()
