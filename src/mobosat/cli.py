@@ -90,9 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eps is divided by this after each iteration")
     solve.add_argument("--target-ratio", type=_ratio_arg, default=Fraction(1),
                        help="stop once an iteration at or below this ratio completes")
-    solve.add_argument("--time-limit", type=float, default=None, help="wall-clock budget in seconds")
-    solve.add_argument("--memory-cap", type=float, default=None,
-                       help="advisory encoder memory cap in MB (best-effort)")
+    solve.add_argument("--time-limit", type=float, default=None,
+                       help="wall-clock budget in seconds (bounds encoding too)")
     solve.add_argument("--seed", type=int, default=0, help="branching perturbation seed")
     solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     solve.add_argument("--trace", default=None, help="per-iteration trace CSV path")
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-p", type=int, required=True, help="number of objectives")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1, help="how many instances (seeds seed..seed+count-1)")
-    gen.add_argument("--jobs", type=int, default=1, help="parallel workers when count > 1")
     gen.add_argument("--out", default=None,
                      help="output file, or a directory when count > 1 (default stdout)")
 
@@ -136,7 +134,6 @@ def _schedule_from_args(args) -> RatioSchedule:
         divisor=args.divisor,
         target=target,
         budget_s=args.time_limit,
-        memory_cap_mb=args.memory_cap,
     )
 
 
@@ -173,37 +170,22 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK if completed else EXIT_TRUNCATED
 
 
-def _generate_one(task) -> None:
-    n, m, p, seed, path = task
+def _generated_pbmo(n: int, m: int, p: int, seed: int) -> str:
     instance = iomod.generate_mscp(n, m, p, seed)
-    text = iomod.write_pbmo(instance, comment=f"mscp n={n} m={m} p={p} seed={seed}")
-    Path(path).write_text(text, encoding="utf-8")
+    return iomod.write_pbmo(instance, comment=f"mscp n={n} m={m} p={p} seed={seed}")
 
 
 def _cmd_generate(args) -> int:
     if args.count == 1:
-        instance = iomod.generate_mscp(args.n, args.m, args.p, args.seed)
-        text = iomod.write_pbmo(
-            instance, comment=f"mscp n={args.n} m={args.m} p={args.p} seed={args.seed}")
-        _emit(text.encode("utf-8"), args.out)
+        _emit(_generated_pbmo(args.n, args.m, args.p, args.seed).encode("utf-8"), args.out)
         return EXIT_OK
     if args.out is None:
         raise ValueError("--out directory is required when count > 1")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (args.n, args.m, args.p, args.seed + i,
-         str(outdir / f"mscp_n{args.n}_m{args.m}_p{args.p}_s{args.seed + i}.pbmo"))
-        for i in range(args.count)
-    ]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(_generate_one, tasks))
-    else:
-        for task in tasks:
-            _generate_one(task)
+    for seed in range(args.seed, args.seed + args.count):
+        path = outdir / f"mscp_n{args.n}_m{args.m}_p{args.p}_s{seed}.pbmo"
+        path.write_text(_generated_pbmo(args.n, args.m, args.p, seed), encoding="utf-8")
     return EXIT_OK
 
 

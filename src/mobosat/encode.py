@@ -15,11 +15,12 @@ reuse the same machinery with the root literal asserted.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import Instance, LinearExpr, PBConstraint
-from .sat import SatSolver
+from .sat import SatSolver, SolveBudgetExceeded
 
 TRUE = True
 FALSE = False
@@ -33,12 +34,6 @@ class Encoder:
         self._true_lit: Optional[int] = None
         self.constraint_clauses = 0
         self.objective_clauses = 0
-        self.literals_emitted = 0
-
-    @property
-    def approx_bytes(self) -> int:
-        """Rough encoder memory footprint, for advisory cap enforcement."""
-        return 16 * self.literals_emitted + 64 * (self.constraint_clauses + self.objective_clauses)
 
     def true_lit(self) -> int:
         if self._true_lit is None:
@@ -52,7 +47,11 @@ class Encoder:
 
 
 class _ClauseSink:
-    """Collects emitted clauses into the solver and counts them."""
+    """Collects emitted clauses into the solver and counts them.
+
+    Raises SolveBudgetExceeded before a clause once the solver's deadline has
+    passed, so no build, eager or lazy, outlasts the budget.
+    """
 
     def __init__(self, encoder: Encoder, objective: bool):
         self.encoder = encoder
@@ -60,9 +59,11 @@ class _ClauseSink:
         self.emitted = 0
 
     def add(self, lits: Sequence[int]) -> None:
-        self.encoder.solver.add_clause(lits)
+        solver = self.encoder.solver
+        if solver.deadline is not None and time.monotonic() > solver.deadline:
+            raise SolveBudgetExceeded()
+        solver.add_clause(lits)
         self.emitted += 1
-        self.encoder.literals_emitted += len(lits)
         if self.objective:
             self.encoder.objective_clauses += 1
         else:

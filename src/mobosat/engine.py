@@ -22,9 +22,11 @@ A driver only prepares each iteration:
 When the solver outlives the iteration, the loop guards the enumerator's
 region blocks with a selector and retires it when the iteration ends, so
 iteration-scoped state never outlives its iteration.  A wall-clock budget
-is honored between solver calls (and interrupts long calls), returning
-partial results flagged as truncated with the ratio warranted by the last
-completed iteration.
+becomes the ``deadline`` of every solver a run builds once its constraints
+are known to be satisfiable at the root; past it, solving and encoding
+alike raise SolveBudgetExceeded, and the run returns partial results
+flagged as truncated with the ratio warranted by the last completed
+iteration.
 """
 
 from __future__ import annotations
@@ -52,25 +54,25 @@ from .sat import SatSolver, SolveBudgetExceeded
 log = logging.getLogger("mobosat.engine")
 
 
+EPS_FLOOR = Fraction(1, 10000)  # a smaller epsilon snaps to 0 (exact)
+
+
 @dataclass(frozen=True)
 class RatioSchedule:
     """How the approximation ratio evolves across iterations.
 
     ``start`` and ``target`` are ratios (1 + epsilon); epsilon is divided by
-    ``divisor`` after each iteration and snaps to 0 once below ``floor``.
+    ``divisor`` after each iteration and snaps to 0 once below ``EPS_FLOOR``.
     """
 
     start: Fraction
     divisor: Fraction = Fraction(10)
-    floor: Fraction = Fraction(1, 10000)
     target: Fraction = Fraction(1)
     budget_s: Optional[float] = None
-    memory_cap_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", as_ratio(self.start))
         object.__setattr__(self, "divisor", Fraction(self.divisor))
-        object.__setattr__(self, "floor", Fraction(self.floor))
         object.__setattr__(self, "target", as_ratio(self.target))
         if self.divisor <= 1:
             raise ValueError(f"divisor must be > 1, got {self.divisor}")
@@ -78,37 +80,21 @@ class RatioSchedule:
             raise ValueError("need start ratio >= target ratio >= 1")
         if self.budget_s is not None and self.budget_s <= 0:
             raise ValueError("time budget must be positive")
-        if self.memory_cap_mb is not None and self.memory_cap_mb <= 0:
-            raise ValueError("memory cap must be positive")
+
+
+def _deadline(budget_s: Optional[float]) -> Optional[float]:
+    """The ``time.monotonic()`` instant at which a run starting now must end."""
+    return None if budget_s is None else time.monotonic() + budget_s
 
 
 def update_ratio(schedule: RatioSchedule, ratio: Fraction) -> Fraction:
-    """Next ratio: epsilon / divisor, snapped to 0 below the floor, never below target."""
+    """Next ratio: epsilon / divisor, snapped to 0 below EPS_FLOOR, never below target."""
     eps = Fraction(ratio) - 1
     eps = eps / schedule.divisor
-    if eps < schedule.floor:
+    if eps < EPS_FLOOR:
         eps = Fraction(0)
     eps = max(eps, schedule.target - 1)
     return 1 + eps
-
-
-class Budget:
-    """Cooperative wall-clock budget plus an advisory encoder memory cap."""
-
-    def __init__(self, seconds: Optional[float] = None,
-                 memory_cap_mb: Optional[float] = None):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-        self.memory_cap_bytes = None if memory_cap_mb is None else memory_cap_mb * 2**20
-
-    def exceeded(self, encoder: Optional[Encoder] = None) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return True
-        return (self.memory_cap_bytes is not None and encoder is not None
-                and encoder.approx_bytes > self.memory_cap_bytes)
-
-    @classmethod
-    def of(cls, schedule: "RatioSchedule") -> "Budget":
-        return cls(schedule.budget_s, schedule.memory_cap_mb)
 
 
 @dataclass(frozen=True)
@@ -172,11 +158,10 @@ def mcs_approx(
     solver: SatSolver,
     prepared: Sequence[PreparedObjective],
     instance: Instance,
-    budget: Budget,
     guard: Optional[int] = None,
     complete: bool = False,
 ) -> McsApproxOutcome:
-    """Enumerate MCSs until exhaustion or budget, blocking each one.
+    """Enumerate MCSs until exhaustion or the solver's deadline, blocking each one.
 
     Records carry the witness assignment and its image under the *original*
     objectives; lower bounds are the representative points.  Region blocks
@@ -187,10 +172,8 @@ def mcs_approx(
     reps: List[Point] = []
     assumptions = [guard] if guard is not None else []
     while True:
-        if budget.exceeded():
-            return McsApproxOutcome(records, reps, False, len(reps))
         try:
-            mcs = extract_mcs(solver, softs, assumptions, deadline=budget.deadline)
+            mcs = extract_mcs(solver, softs, assumptions)
         except SolveBudgetExceeded:
             return McsApproxOutcome(records, reps, False, len(reps))
         if mcs is None:
@@ -251,15 +234,15 @@ class _Iteration:
     proves_exact: Callable[[McsApproxOutcome], bool]
 
 
-def _reapproximate(instance: Instance, schedule: RatioSchedule, budget: Budget,
-                   prepare: Callable[..., Optional[_Iteration]], name: str) -> ApproxResult:
+def _reapproximate(instance: Instance, schedule: RatioSchedule,
+                   prepare: Callable[..., _Iteration], name: str) -> ApproxResult:
     """The iteration loop of the re-approximation drivers.
 
     ``prepare(ratio, records, fresh)`` wires up one iteration, given the
     nondominated records so far and those the previous iteration added; it
-    returns None when the budget ran out while encoding.  The lower bounds
-    and the ratio are committed only by an iteration whose enumeration
-    completed.
+    raises SolveBudgetExceeded when the deadline passes while encoding.  The
+    lower bounds and the ratio are committed only by an iteration whose
+    enumeration completed.
     """
     records: List[SolutionRecord] = []
     fresh: List[SolutionRecord] = []
@@ -270,12 +253,13 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule, budget: Budget,
     ratio = schedule.start
     while True:
         t0 = time.monotonic()
-        step = prepare(ratio, records, fresh)
-        if step is None:
+        try:
+            step = prepare(ratio, records, fresh)
+        except SolveBudgetExceeded:
             truncated = True
             break
         guard = step.solver.new_var() if step.shared else None
-        outcome = mcs_approx(step.solver, step.prepared, instance, budget,
+        outcome = mcs_approx(step.solver, step.prepared, instance,
                              guard=guard, complete=step.complete)
         if guard is not None:
             step.solver.add_clause([-guard])  # retire the iteration's region blocks
@@ -303,9 +287,6 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule, budget: Budget,
             break
         if ratio <= schedule.target:
             break
-        if budget.exceeded(step.encoder):
-            truncated = True
-            break
         fresh = outcome.records
         ratio = update_ratio(schedule, ratio)
     return ApproxResult(
@@ -329,7 +310,7 @@ def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> Ap
     (the front is then exact), the target ratio is warranted, or the budget
     runs out.
     """
-    budget = Budget.of(schedule)
+    deadline = _deadline(schedule.budget_s)
     base: Optional[tuple] = _constrained_solver(instance, seed)
     if not base[0].ok:
         return _INFEASIBLE
@@ -339,11 +320,10 @@ def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> Ap
         # the first iteration takes the solver of the feasibility check
         solver, encoder, fixed = base or _constrained_solver(instance, seed)
         base = None
+        solver.deadline = deadline
         prepared: List[PreparedObjective] = []
         exact = True
         for k, f in enumerate(instance.objectives):
-            if budget.exceeded(encoder):
-                return None
             rounding = approx_coefficients(f, ratio)
             exact = exact and rounding.exact
             prepared.append(_complete_ladder(encoder, k, rounding.approx, fixed))
@@ -355,7 +335,7 @@ def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> Ap
         return _Iteration(solver, encoder, prepared, seeds, shared=False, complete=True,
                           proves_exact=lambda outcome: exact)
 
-    return _reapproximate(instance, schedule, budget, prepare, "coeff")
+    return _reapproximate(instance, schedule, prepare, "coeff")
 
 
 def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
@@ -369,17 +349,16 @@ def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> A
     nothing new (the records then are the exact Pareto front), the target is
     warranted, or the budget runs out.
     """
-    budget = Budget.of(schedule)
+    deadline = _deadline(schedule.budget_s)
     solver, encoder, fixed = _constrained_solver(instance, seed)
     if not solver.ok:
         return _INFEASIBLE
+    solver.deadline = deadline
     ladders = [encode_objective(encoder, k, f, fixed) for k, f in enumerate(instance.objectives)]
 
     def prepare(ratio, records, fresh):
         prepared: List[PreparedObjective] = []
         for k, ladder in enumerate(ladders):
-            if budget.exceeded(encoder):
-                return None
             domain = compute_domain(instance.lower_bounds[k], instance.upper_bounds[k], ratio)
             for d in domain:
                 ladder.encode_lt(d)
@@ -390,7 +369,7 @@ def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> A
                           shared=True, complete=(ratio == 1),
                           proves_exact=lambda outcome: not outcome.records)
 
-    return _reapproximate(instance, schedule, budget, prepare, "interval")
+    return _reapproximate(instance, schedule, prepare, "interval")
 
 
 def solve_exact(instance: Instance, budget_s: Optional[float] = None,
@@ -410,30 +389,30 @@ def enumerate_efficient_set(
     itself, plus one clause forbidding the witness assignment.  Returns the
     records and whether enumeration ran to exhaustion.
     """
-    budget = Budget(budget_s)
+    deadline = _deadline(budget_s)
     solver, encoder, fixed = _constrained_solver(instance, seed)
     if not solver.ok:
         return (), True
-    prepared = [_complete_ladder(encoder, k, f, fixed) for k, f in enumerate(instance.objectives)]
-    softs = _build_softs(prepared)
+    solver.deadline = deadline
     records: List[SolutionRecord] = []
-    while True:
-        if budget.exceeded():
-            return tuple(records), False
-        try:
-            mcs = extract_mcs(solver, softs, deadline=budget.deadline)
-        except SolveBudgetExceeded:
-            return tuple(records), False
-        if mcs is None:
-            return tuple(records), True
-        assignment = _assignment_from_model(mcs.model, instance.num_vars)
-        image = tuple(evaluate(f, assignment) for f in instance.objectives)
-        records.append(SolutionRecord(assignment, image))
-        rep = mcs.representative
-        dominated_lits = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]
-        for q, prep in enumerate(prepared):
-            succ = prep.domain[prep.domain.index(rep[q]) + 1]
-            solver.add_clause(dominated_lits + [prep.encode_lt(succ)])
-        solver.add_clause([
-            -(v + 1) if assignment[v] else (v + 1) for v in range(instance.num_vars)
-        ])
+    try:
+        prepared = [_complete_ladder(encoder, k, f, fixed)
+                    for k, f in enumerate(instance.objectives)]
+        softs = _build_softs(prepared)
+        while True:
+            mcs = extract_mcs(solver, softs)
+            if mcs is None:
+                return tuple(records), True
+            assignment = _assignment_from_model(mcs.model, instance.num_vars)
+            image = tuple(evaluate(f, assignment) for f in instance.objectives)
+            records.append(SolutionRecord(assignment, image))
+            rep = mcs.representative
+            dominated_lits = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]
+            for q, prep in enumerate(prepared):
+                succ = prep.domain[prep.domain.index(rep[q]) + 1]
+                solver.add_clause(dominated_lits + [prep.encode_lt(succ)])
+            solver.add_clause([
+                -(v + 1) if assignment[v] else (v + 1) for v in range(instance.num_vars)
+            ])
+    except SolveBudgetExceeded:
+        return tuple(records), False

@@ -61,7 +61,6 @@ def extract_mcs_literals(
     solver: SatSolver,
     soft_lits: Sequence[int],
     assumptions: Sequence[int] = (),
-    deadline: Optional[float] = None,
 ) -> Optional[Tuple[frozenset, Tuple[int, ...]]]:
     """One MCS of (hard clauses, unit softs), or None when the hard part is unsat.
 
@@ -70,7 +69,7 @@ def extract_mcs_literals(
     when hard and softs are jointly satisfiable.
     """
     base = list(assumptions)
-    if not solver.solve(base, deadline=deadline):
+    if not solver.solve(base):
         return None
     model = solver.model
     satisfied = []
@@ -85,8 +84,7 @@ def extract_mcs_literals(
     while undone:
         selector = solver.new_var()
         solver.add_clause([-selector] + [soft_lits[i] for i in undone])
-        sat = solver.solve(base + [selector] + [soft_lits[i] for i in satisfied],
-                           deadline=deadline)
+        sat = solver.solve(base + [selector] + [soft_lits[i] for i in satisfied])
         solver.add_clause([-selector])
         if not sat:
             break
@@ -139,7 +137,6 @@ def extract_mcs(
     solver: SatSolver,
     softs: SoftSet,
     assumptions: Sequence[int] = (),
-    deadline: Optional[float] = None,
 ) -> Optional[Mcs]:
     """Extract one MCS over objective-threshold softs, with structure checks.
 
@@ -152,7 +149,7 @@ def extract_mcs(
     around.  Semantics are unchanged from literal clause-D.
     """
     base = list(assumptions)
-    if not solver.solve(base, deadline=deadline):
+    if not solver.solve(base):
         return None
     model = solver.model
     cuts = _threshold_cuts(model, softs)
@@ -164,7 +161,7 @@ def extract_mcs(
         hold = [pairs[cut][1] for pairs, cut in zip(pairs_by_obj, cuts)]
         selector = solver.new_var()
         solver.add_clause([-selector] + improve)
-        sat = solver.solve(base + [selector] + hold, deadline=deadline)
+        sat = solver.solve(base + [selector] + hold)
         solver.add_clause([-selector])
         if not sat:
             break

@@ -17,7 +17,8 @@ from typing import Iterable, List, Optional, Sequence
 
 
 class SolveBudgetExceeded(Exception):
-    """Raised when a solve call runs past its deadline."""
+    """Raised once the solver's ``deadline`` has passed: by ``solve``, and by
+    the encoders before they emit a clause into the solver."""
 
 
 def _to_code(lit: int) -> int:
@@ -122,7 +123,11 @@ def _luby(i: int) -> int:
 
 
 class SatSolver:
-    """Incremental CNF solver: grow clauses monotonically, solve under assumptions."""
+    """Incremental CNF solver: grow clauses monotonically, solve under assumptions.
+
+    ``deadline`` (``time.monotonic()`` seconds, None for no limit) bounds the
+    wall time spent searching in this solver and encoding into it.
+    """
 
     VAR_DECAY = 0.95
     CLA_DECAY = 0.999
@@ -132,6 +137,7 @@ class SatSolver:
         self.seed = seed
         self.check_models = check_models
         self.ok = True
+        self.deadline: Optional[float] = None
         # var-indexed arrays (index 0 unused)
         self.assigns: List[int] = [0]  # 0 undef, 1 true, -1 false
         self.litval: List[int] = [0, 0]  # indexed by literal code
@@ -452,13 +458,13 @@ class SatSolver:
                 return (var << 1) | (0 if self.phase[var] else 1)
         return -1
 
-    def solve(self, assumptions: Sequence[int] = (), deadline: Optional[float] = None) -> bool:
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve under unit assumptions.
 
         Returns True with a complete model, or False (unsatisfiable under the
-        assumptions).  Raises SolveBudgetExceeded once ``deadline``
-        (time.monotonic seconds) has passed; the clock is read before every
-        propagation pass, so a call overruns by at most one pass.
+        assumptions).  Raises SolveBudgetExceeded once ``self.deadline`` has
+        passed; the clock is read before every propagation pass, so a call
+        overruns by at most one pass.
         """
         self.stats["solve_calls"] += 1
         self._cancel_until(0)
@@ -476,6 +482,7 @@ class SatSolver:
         if self.max_learnts <= 0:
             self.max_learnts = max(1000.0, self.num_original_clauses / 3.0)
         conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])
+        deadline = self.deadline
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 self._cancel_until(0)

@@ -3,6 +3,19 @@
 import pytest
 
 from mobosat.model import Instance, LinearExpr, Literal, PBConstraint
+from mobosat.sat import SatSolver
+
+
+@pytest.fixture(autouse=True)
+def check_every_model(monkeypatch):
+    """Every solver a test builds checks each model it returns against its
+    problem clauses and assumptions."""
+    init = SatSolver.__init__
+
+    def checking_init(self, seed=0, check_models=True):
+        init(self, seed, check_models=True)
+
+    monkeypatch.setattr(SatSolver, "__init__", checking_init)
 
 
 def lit(v):

@@ -86,12 +86,6 @@ class TestSolve:
                      "--out", str(tmp_path / "o.json")])
         assert code == EXIT_TRUNCATED
 
-    def test_memory_cap_flag(self, instance_file, tmp_path):
-        code = main(["solve", "--mode", "coeff", "--ratio", "4",
-                     "--memory-cap", "1e-6", str(instance_file),
-                     "--out", str(tmp_path / "o.json")])
-        assert code == EXIT_TRUNCATED
-
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "ugly.pbmo"
         path.write_text("max: 1 x1 ;\n")
@@ -134,7 +128,7 @@ class TestOtherCommands:
     def test_generate_batch(self, tmp_path):
         outdir = tmp_path / "batch"
         assert main(["generate", "-n", "8", "-m", "2", "-p", "2", "--seed", "1",
-                     "--count", "3", "--jobs", "2", "--out", str(outdir)]) == EXIT_OK
+                     "--count", "3", "--out", str(outdir)]) == EXIT_OK
         assert len(list(outdir.glob("*.pbmo"))) == 3
 
     def test_oracle_refuses_above_cap(self, tmp_path):

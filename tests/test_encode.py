@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from mobosat.encode import (
     encode_pb_geq,
 )
 from mobosat.model import LinearExpr, Literal, PBConstraint, evaluate
-from mobosat.sat import SatSolver
+from mobosat.sat import SatSolver, SolveBudgetExceeded
 
 
 def lit(v):
@@ -189,6 +190,31 @@ class TestClauseCounting:
             ladder.encode_lt(d)
         assert encoder.objective_clauses == ladder.clauses_emitted > 0
         assert encoder.constraint_clauses == constraint_count
+
+
+class TestDeadline:
+    """Past the solver's deadline, an encoder raises before emitting a clause."""
+
+    def expired(self, ladder_example):
+        solver, encoder = fresh(3)
+        encode_instance_constraints(encoder, ladder_example)
+        solver.deadline = time.monotonic() - 1
+        return solver, encoder, solver.num_clauses
+
+    def test_eager_build_raises(self, ladder_example):
+        solver, encoder, clauses = self.expired(ladder_example)
+        with pytest.raises(SolveBudgetExceeded):
+            encode_objective(encoder, 0, ladder_example.objectives[0], eager=True)
+        assert encoder.objective_clauses == 0
+        assert solver.num_clauses == clauses
+
+    def test_lazy_threshold_raises(self, ladder_example):
+        solver, encoder, clauses = self.expired(ladder_example)
+        ladder = encode_objective(encoder, 0, ladder_example.objectives[0])
+        with pytest.raises(SolveBudgetExceeded):
+            ladder.encode_lt(5)
+        assert encoder.objective_clauses == 0
+        assert solver.num_clauses == clauses
 
 
 class TestSumStructures:

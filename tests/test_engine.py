@@ -247,17 +247,19 @@ class TestBudget:
         assert result.truncated
         assert time.monotonic() - start < 3 + 2
 
-    def test_memory_cap_truncates(self, unconstrained_biobjective):
-        tight = RatioSchedule(start=Fraction(4), divisor=Fraction(2),
-                              memory_cap_mb=1e-6)
-        result = core_solve(unconstrained_biobjective, tight)
+    def test_budget_bounds_eager_encoding(self):
+        # the complete-domain ladders of this instance take several seconds
+        # to build: the deadline must stop the build, not wait for it
+        start = time.monotonic()
+        result = solve_exact(generate_mscp(30, 10, 2, 1), budget_s=2)
         assert result.truncated
-        # a generous cap lets iterations complete and never truncates
-        roomy = RatioSchedule(start=Fraction(4), divisor=Fraction(2),
-                              memory_cap_mb=64)
-        result = core_solve(unconstrained_biobjective, roomy)
-        assert not result.truncated
-        assert result.warranted_ratio == 1
+        assert time.monotonic() - start < 3.5
+
+    def test_infeasible_reported_under_any_budget(self, infeasible_instance):
+        for driver in (core_solve, intre_solve):
+            result = driver(infeasible_instance, schedule(2, budget=1e-9))
+            assert result.infeasible and not result.truncated
+        assert enumerate_efficient_set(infeasible_instance, budget_s=1e-9) == ((), True)
 
 
 class TestDeterminism:

@@ -180,14 +180,17 @@ class TestExtras:
                 for p2 in range(p1 + 1, holes + 1):
                     solver.add_clause([-var[p1, h], -var[p2, h]])
         import time
+        solver.deadline = time.monotonic() + 0.001
         with pytest.raises(SolveBudgetExceeded):
-            solver.solve(deadline=time.monotonic() + 0.001)
+            solver.solve()
 
     def test_expired_deadline_raises_before_any_decision(self):
         # satisfiable without a single conflict: the clock must be read anyway
         solver = make_solver(20, [[v, v + 1] for v in range(1, 20)])
         import time
+        solver.deadline = time.monotonic() - 1
         with pytest.raises(SolveBudgetExceeded):
-            solver.solve(deadline=time.monotonic() - 1)
+            solver.solve()
         assert solver.stats["decisions"] == 0
+        solver.deadline = None
         assert solver.solve()
