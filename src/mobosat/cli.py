@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop once an iteration at or below this ratio completes")
     solve.add_argument("--time-limit", type=float, default=None,
                        help="wall-clock budget in seconds (bounds encoding too)")
-    solve.add_argument("--seed", type=int, default=0, help="branching perturbation seed")
     solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     solve.add_argument("--trace", default=None, help="per-iteration trace CSV path")
 
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="enumerate every efficient solution (exact mode)")
     enum.add_argument("instance")
     enum.add_argument("--time-limit", type=float, default=None)
-    enum.add_argument("--seed", type=int, default=0)
     enum.add_argument("--out", default=None)
 
     gen = sub.add_parser("generate", help="generate set-covering benchmark instances")
@@ -141,9 +139,9 @@ def _cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
     schedule = _schedule_from_args(args)
     if args.mode == "interval":
-        result = intre_solve(instance, schedule, seed=args.seed)
+        result = intre_solve(instance, schedule)
     else:
-        result = core_solve(instance, schedule, seed=args.seed)
+        result = core_solve(instance, schedule)
     _emit(iomod.write_result(result, "json"), args.out)
     if args.trace:
         Path(args.trace).write_bytes(iomod.write_result(result, "csv"))
@@ -156,8 +154,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     instance = _load_instance(args.instance)
-    records, completed = enumerate_efficient_set(instance, budget_s=args.time_limit,
-                                                 seed=args.seed)
+    records, completed = enumerate_efficient_set(instance, budget_s=args.time_limit)
     payload = {
         "schema": iomod.RESULT_SCHEMA,
         "complete": completed,

@@ -140,7 +140,6 @@ class McsApproxOutcome:
     records: List[SolutionRecord]
     lower_bounds: List[Point]
     completed: bool
-    mcs_count: int
 
 
 def _assignment_from_model(model: Sequence[int], num_vars: int) -> Tuple[int, ...]:
@@ -175,9 +174,9 @@ def mcs_approx(
         try:
             mcs = extract_mcs(solver, softs, assumptions)
         except SolveBudgetExceeded:
-            return McsApproxOutcome(records, reps, False, len(reps))
+            return McsApproxOutcome(records, reps, False)
         if mcs is None:
-            return McsApproxOutcome(records, reps, True, len(reps))
+            return McsApproxOutcome(records, reps, True)
         assignment = _assignment_from_model(mcs.model, instance.num_vars)
         approx_values = tuple(evaluate(prep.expr, assignment) for prep in prepared)
         check_witness_bounds(mcs, approx_values, complete=complete)
@@ -196,12 +195,11 @@ def mcs_approx(
         log.debug("mcs %d: rep=%s image=%s", len(reps), rep, image)
 
 
-def _constrained_solver(instance: Instance,
-                        seed: int) -> Tuple[SatSolver, Encoder, Tuple[int, ...]]:
+def _constrained_solver(instance: Instance) -> Tuple[SatSolver, Encoder, Tuple[int, ...]]:
     """A fresh solver holding the constraints, its encoder, and the literals
     fixed at the root.  ``solver.ok`` is False when root propagation refutes
     the constraints."""
-    solver = SatSolver(seed)
+    solver = SatSolver()
     encoder = Encoder(solver)
     encode_instance_constraints(encoder, instance)
     encoder.true_lit()  # pin the constant-true var at a fixed index
@@ -270,7 +268,7 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule,
             ratio=ratio,
             new_images=tuple(rec.image for rec in outcome.records),
             new_lower_bounds=tuple(outcome.lower_bounds),
-            mcs_count=outcome.mcs_count,
+            mcs_count=len(outcome.lower_bounds),
             objective_clauses=step.encoder.objective_clauses,
             completed=outcome.completed,
             wall_s=time.monotonic() - t0,
@@ -299,7 +297,7 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule,
     )
 
 
-def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
+def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     """Coefficient-based re-approximation driver.
 
     Each iteration rounds every objective onto the current ratio's weight
@@ -311,14 +309,14 @@ def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> Ap
     runs out.
     """
     deadline = _deadline(schedule.budget_s)
-    base: Optional[tuple] = _constrained_solver(instance, seed)
+    base: Optional[tuple] = _constrained_solver(instance)
     if not base[0].ok:
         return _INFEASIBLE
 
     def prepare(ratio, records, fresh):
         nonlocal base
         # the first iteration takes the solver of the feasibility check
-        solver, encoder, fixed = base or _constrained_solver(instance, seed)
+        solver, encoder, fixed = base or _constrained_solver(instance)
         base = None
         solver.deadline = deadline
         prepared: List[PreparedObjective] = []
@@ -338,7 +336,7 @@ def core_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> Ap
     return _reapproximate(instance, schedule, prepare, "coeff")
 
 
-def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> ApproxResult:
+def intre_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     """Interval-based re-approximation driver.
 
     The original objectives are encoded once into one growing solver; each
@@ -350,7 +348,7 @@ def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> A
     warranted, or the budget runs out.
     """
     deadline = _deadline(schedule.budget_s)
-    solver, encoder, fixed = _constrained_solver(instance, seed)
+    solver, encoder, fixed = _constrained_solver(instance)
     if not solver.ok:
         return _INFEASIBLE
     solver.deadline = deadline
@@ -372,15 +370,14 @@ def intre_solve(instance: Instance, schedule: RatioSchedule, seed: int = 0) -> A
     return _reapproximate(instance, schedule, prepare, "interval")
 
 
-def solve_exact(instance: Instance, budget_s: Optional[float] = None,
-                seed: int = 0) -> ApproxResult:
+def solve_exact(instance: Instance, budget_s: Optional[float] = None) -> ApproxResult:
     """Enumerate the exact Pareto front (single pass with complete domains)."""
     schedule = RatioSchedule(start=Fraction(1), budget_s=budget_s)
-    return core_solve(instance, schedule, seed=seed)
+    return core_solve(instance, schedule)
 
 
 def enumerate_efficient_set(
-    instance: Instance, budget_s: Optional[float] = None, seed: int = 0
+    instance: Instance, budget_s: Optional[float] = None
 ) -> Tuple[Tuple[SolutionRecord, ...], bool]:
     """All efficient solutions (exact mode), repeats of an image included.
 
@@ -390,7 +387,7 @@ def enumerate_efficient_set(
     records and whether enumeration ran to exhaustion.
     """
     deadline = _deadline(budget_s)
-    solver, encoder, fixed = _constrained_solver(instance, seed)
+    solver, encoder, fixed = _constrained_solver(instance)
     if not solver.ok:
         return (), True
     solver.deadline = deadline
@@ -405,6 +402,8 @@ def enumerate_efficient_set(
                 return tuple(records), True
             assignment = _assignment_from_model(mcs.model, instance.num_vars)
             image = tuple(evaluate(f, assignment) for f in instance.objectives)
+            # complete ladders on the original objectives: image == representative
+            check_witness_bounds(mcs, image, complete=True)
             records.append(SolutionRecord(assignment, image))
             rep = mcs.representative
             dominated_lits = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]

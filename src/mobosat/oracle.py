@@ -61,17 +61,21 @@ def _evaluate_exprs(instance: Instance, bits: np.ndarray) -> Tuple[np.ndarray, n
 
 
 def _pareto_of_unique(images: np.ndarray) -> np.ndarray:
-    """Boolean mask of nondominated rows; ``images`` must be unique rows."""
-    n = images.shape[0]
-    keep = np.ones(n, dtype=bool)
-    chunk = 512
-    for start in range(0, n, chunk):
-        rows = images[start:start + chunk]
-        # dominated iff some other row is <= everywhere (and differs)
-        leq = (images[None, :, :] <= rows[:, None, :]).all(axis=2)
-        lt = (images[None, :, :] < rows[:, None, :]).any(axis=2)
-        dominated = (leq & lt).any(axis=1)
-        keep[start:start + chunk] &= ~dominated
+    """Boolean mask of nondominated rows; ``images`` must be unique rows in
+    lexicographic order.
+
+    A row can only be dominated by a lexicographically earlier one, and a
+    dominated earlier row is itself dominated by a kept one, so one sweep
+    keeps a row iff no kept row is <= it everywhere.
+    """
+    keep = np.zeros(images.shape[0], dtype=bool)
+    kept = np.empty_like(images)
+    count = 0
+    for i, row in enumerate(images):
+        if not (kept[:count] <= row).all(axis=1).any():
+            kept[count] = row
+            count += 1
+            keep[i] = True
     return keep
 
 

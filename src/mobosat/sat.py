@@ -1,10 +1,11 @@
 """Self-contained incremental CDCL SAT solver.
 
 MiniSat-style core: two-literal watching, first-UIP learning, VSIDS
-branching, phase saving (all-false initial polarity), Luby restarts and
-activity-based learnt-clause reduction.  Clause addition is monotone (no
-deletion API for problem clauses); callers rebuild a fresh solver when they
-need to retract anything other than assumptions.
+branching, phase saving (all-false initial polarity) and Luby restarts.
+There is no learnt-clause reduction: every learnt clause is kept for the
+solver's lifetime.  Clause addition is monotone (no deletion API for problem
+clauses); callers rebuild a fresh solver when they need to retract anything
+other than assumptions.
 
 The solver is fully deterministic: identical call histories yield identical
 models.  Literals at the API boundary are DIMACS-style signed integers.
@@ -130,17 +131,16 @@ class SatSolver:
     """
 
     VAR_DECAY = 0.95
-    CLA_DECAY = 0.999
     RESTART_BASE = 100
 
-    def __init__(self, seed: int = 0, check_models: bool = False):
-        self.seed = seed
+    def __init__(self, check_models: bool = False):
         self.check_models = check_models
         self.ok = True
         self.deadline: Optional[float] = None
+        # literal-code-indexed values: 0 undef, 1 true, -1 false; litval[2v]
+        # is var v's value
+        self.litval: List[int] = [0, 0]
         # var-indexed arrays (index 0 unused)
-        self.assigns: List[int] = [0]  # 0 undef, 1 true, -1 false
-        self.litval: List[int] = [0, 0]  # indexed by literal code
         self.level: List[int] = [0]
         self.reason: List[int] = [-1]
         self.activity: List[float] = [0.0]
@@ -148,17 +148,14 @@ class SatSolver:
         # literal-code-indexed watch lists: watches[code] holds (clause, blocker)
         # pairs to visit when literal `code` becomes false
         self.watches: List[List] = [[], []]
-        self.clauses: List[Optional[List[int]]] = []
+        self.clauses: List[List[int]] = []
         self.learnt_idxs: List[int] = []
-        self.cla_activity: dict = {}
         self.num_original_clauses = 0
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
         self.order = _VarOrder(self.activity)
         self.var_inc = 1.0
-        self.cla_inc = 1.0
-        self.max_learnts = 0.0
         self.model: List[int] = []
         self.stats = {
             "solve_calls": 0,
@@ -166,7 +163,6 @@ class SatSolver:
             "conflicts": 0,
             "propagations": 0,
             "restarts": 0,
-            "learnt_deleted": 0,
         }
 
     # ------------------------------------------------------------------
@@ -174,22 +170,17 @@ class SatSolver:
 
     @property
     def num_vars(self) -> int:
-        return len(self.assigns) - 1
+        return len(self.level) - 1
 
     @property
     def num_clauses(self) -> int:
         return self.num_original_clauses
 
     def new_var(self) -> int:
-        var = len(self.assigns)
-        self.assigns.append(0)
+        var = len(self.level)
         self.level.append(0)
         self.reason.append(-1)
-        act = 0.0
-        if self.seed:
-            # tiny, deterministic seed-dependent perturbation of the initial order
-            act = ((var * 1103515245 + self.seed * 12345) % 1000003) * 1e-12
-        self.activity.append(act)
+        self.activity.append(0.0)
         self.phase.append(0)
         self.litval.append(0)
         self.litval.append(0)
@@ -198,10 +189,6 @@ class SatSolver:
         self.order.grow(var)
         self.order.insert(var)
         return var
-
-    def _value_code(self, code: int) -> int:
-        val = self.assigns[code >> 1]
-        return -val if code & 1 else val
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause of signed literals.  An empty clause makes the formula unsat."""
@@ -227,7 +214,7 @@ class SatSolver:
         # root-level simplification
         filtered = []
         for code in codes:
-            val = self._value_code(code)
+            val = self.litval[code]
             if val == 1:
                 return  # already satisfied forever
             if val == 0:
@@ -249,7 +236,6 @@ class SatSolver:
         self.watches[codes[1]].append((idx, codes[0]))
         if learnt:
             self.learnt_idxs.append(idx)
-            self.cla_activity[idx] = self.cla_inc
         else:
             self.num_original_clauses += 1
         return idx
@@ -259,7 +245,6 @@ class SatSolver:
 
     def _unchecked_enqueue(self, code: int, reason_idx: int) -> None:
         var = code >> 1
-        self.assigns[var] = -1 if code & 1 else 1
         self.litval[code] = 1
         self.litval[code ^ 1] = -1
         self.level[var] = len(self.trail_lim)
@@ -290,8 +275,6 @@ class SatSolver:
                     continue
                 idx = entry[0]
                 cl = clauses[idx]
-                if cl is None:
-                    continue  # deleted learnt, drop watcher lazily
                 if cl[0] == fl:
                     cl[0] = cl[1]
                     cl[1] = fl
@@ -340,7 +323,6 @@ class SatSolver:
             code = self.trail[pos]
             var = code >> 1
             self.phase[var] = 0 if code & 1 else 1
-            self.assigns[var] = 0
             litval[code] = 0
             litval[code ^ 1] = 0
             self.reason[var] = -1
@@ -361,14 +343,6 @@ class SatSolver:
             self.var_inc *= 1e-100
         self.order.update(var)
 
-    def _bump_clause(self, idx: int) -> None:
-        if idx in self.cla_activity:
-            self.cla_activity[idx] += self.cla_inc
-            if self.cla_activity[idx] > 1e20:
-                for key in self.cla_activity:
-                    self.cla_activity[key] *= 1e-20
-                self.cla_inc *= 1e-20
-
     def _analyze(self, confl: int) -> tuple[List[int], int]:
         learnt = [0]
         seen = bytearray(self.num_vars + 1)
@@ -378,7 +352,6 @@ class SatSolver:
         current = len(self.trail_lim)
         while True:
             cl = self.clauses[confl]
-            self._bump_clause(confl)
             for q in cl if p == -1 else cl[1:]:
                 var = q >> 1
                 if not seen[var] and self.level[var] > 0:
@@ -424,37 +397,15 @@ class SatSolver:
             bt = self.level[learnt[1] >> 1]
         return learnt, bt
 
-    def _reduce_db(self) -> None:
-        locked = set()
-        for idx in self.learnt_idxs:
-            cl = self.clauses[idx]
-            if cl is not None and self.reason[cl[0] >> 1] == idx and self._value_code(cl[0]) == 1:
-                locked.add(idx)
-        live = [idx for idx in self.learnt_idxs if self.clauses[idx] is not None]
-        live.sort(key=lambda idx: (self.cla_activity.get(idx, 0.0), idx))
-        target = len(live) // 2
-        removed = 0
-        kept = []
-        for idx in live:
-            cl = self.clauses[idx]
-            if removed < target and idx not in locked and len(cl) > 2:
-                self.clauses[idx] = None
-                self.cla_activity.pop(idx, None)
-                removed += 1
-            else:
-                kept.append(idx)
-        self.learnt_idxs = kept
-        self.stats["learnt_deleted"] += removed
-
     # ------------------------------------------------------------------
     # search
 
     def _pick_branch(self) -> int:
         order = self.order
-        assigns = self.assigns
+        litval = self.litval
         while not order.empty():
             var = order.pop()
-            if assigns[var] == 0:
+            if litval[var << 1] == 0:
                 return (var << 1) | (0 if self.phase[var] else 1)
         return -1
 
@@ -467,11 +418,7 @@ class SatSolver:
         overruns by at most one pass.
         """
         self.stats["solve_calls"] += 1
-        self._cancel_until(0)
-        if not self.ok:
-            return False
-        if self._propagate() != -1:
-            self.ok = False
+        if not self.propagate_root():
             return False
         assume_codes = []
         for lit in assumptions:
@@ -479,8 +426,6 @@ class SatSolver:
             if code >> 1 > self.num_vars:
                 raise ValueError(f"unknown assumption variable {code >> 1}")
             assume_codes.append(code)
-        if self.max_learnts <= 0:
-            self.max_learnts = max(1000.0, self.num_original_clauses / 3.0)
         conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])
         deadline = self.deadline
         while True:
@@ -502,19 +447,15 @@ class SatSolver:
                     idx = self._attach(learnt, learnt=True)
                     self._unchecked_enqueue(learnt[0], idx)
                 self.var_inc /= self.VAR_DECAY
-                self.cla_inc /= self.CLA_DECAY
                 continue
             if conflicts_left <= 0:
                 self.stats["restarts"] += 1
                 self._cancel_until(0)
                 conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])
                 continue
-            if len(self.learnt_idxs) - len(self.trail) > self.max_learnts:
-                self._reduce_db()
-                self.max_learnts *= 1.1
             if len(self.trail_lim) < len(assume_codes):
                 code = assume_codes[len(self.trail_lim)]
-                val = self._value_code(code)
+                val = self.litval[code]
                 if val == 1:
                     self.trail_lim.append(len(self.trail))  # dummy level
                     continue
@@ -526,7 +467,7 @@ class SatSolver:
                 continue
             code = self._pick_branch()
             if code == -1:
-                self.model = list(self.assigns)
+                self.model = self.litval[0::2]
                 self._cancel_until(0)
                 if self.check_models:
                     self._verify_model(assume_codes)
@@ -546,7 +487,7 @@ class SatSolver:
                 raise AssertionError(f"model violates assumption {_from_code(code)}")
         learnt = set(self.learnt_idxs)
         for idx, cl in enumerate(self.clauses):
-            if cl is None or idx in learnt:
+            if idx in learnt:
                 continue
             for code in cl:
                 value = model[code >> 1]
@@ -590,13 +531,13 @@ class SatSolver:
 
     def to_dimacs(self) -> str:
         """Dump the problem clauses (not learnts) in DIMACS CNF format."""
-        learnt = set(self.learnt_idxs) | set(self.cla_activity)
+        learnt = set(self.learnt_idxs)
         body = []
         if not self.trail_lim:
             for code in self.trail:
                 body.append(f"{_from_code(code)} 0")
         for idx, cl in enumerate(self.clauses):
-            if cl is None or idx in learnt:
+            if idx in learnt:
                 continue
             body.append(" ".join(str(_from_code(c)) for c in cl) + " 0")
         header = f"p cnf {self.num_vars} {len(body)}"

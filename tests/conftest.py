@@ -12,8 +12,8 @@ def check_every_model(monkeypatch):
     problem clauses and assumptions."""
     init = SatSolver.__init__
 
-    def checking_init(self, seed=0, check_models=True):
-        init(self, seed, check_models=True)
+    def checking_init(self, check_models=True):
+        init(self, check_models=True)
 
     monkeypatch.setattr(SatSolver, "__init__", checking_init)
 

@@ -150,7 +150,7 @@ class TestOtherCommands:
         result = run_cli("solve", "--help")
         assert result.returncode == 0
         for flag in ("--mode", "--ratio", "--divisor", "--target-ratio",
-                     "--time-limit", "--seed", "--out", "--trace"):
+                     "--time-limit", "--out", "--trace"):
             assert flag in result.stdout
 
     def test_log_env_variable(self, instance_file, tmp_path):

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from mobosat import engine
 from mobosat.engine import (
     RatioSchedule,
     core_solve,
@@ -13,6 +15,7 @@ from mobosat.engine import (
     update_ratio,
 )
 from mobosat.io import generate_mscp
+from mobosat.mcs import McsInvariantError
 from mobosat.model import (
     Instance,
     LinearExpr,
@@ -200,6 +203,20 @@ class TestEfficientSet:
             expected = brute_force_pareto(instance)
             assert sorted(r.assignment for r in records) == sorted(
                 r.assignment for r in expected.efficient)
+
+    def test_witness_checked_against_representative(self, two_obj_triangle, monkeypatch):
+        extract = engine.extract_mcs
+
+        def corrupted(solver, softs, assumptions=()):
+            mcs = extract(solver, softs, assumptions)
+            if mcs is None:
+                return None
+            rep = (mcs.representative[0] - 1,) + mcs.representative[1:]
+            return dataclasses.replace(mcs, representative=rep)
+
+        monkeypatch.setattr(engine, "extract_mcs", corrupted)
+        with pytest.raises(McsInvariantError):
+            enumerate_efficient_set(two_obj_triangle)
 
 
 class TestUpdateRatio:

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from mobosat.model import SolutionRecord, image, is_feasible
 from mobosat.oracle import (
     OracleCapError,
+    _pareto_of_unique,
     all_mcs_bruteforce,
     brute_force_pareto,
     verify_approximation,
@@ -36,6 +38,22 @@ class TestBruteForcePareto:
     def test_cap(self, two_obj_triangle):
         with pytest.raises(OracleCapError):
             brute_force_pareto(two_obj_triangle, cap=2)
+
+
+class TestParetoSweep:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matches_definition_with_ties(self, p):
+        rng = random.Random(p)
+        for _ in range(40):
+            rows = {tuple(rng.randint(0, 3) for _ in range(p))
+                    for _ in range(rng.randint(1, 60))}
+            distinct = np.array(sorted(rows), dtype=np.int64)
+            expected = [
+                not any(all(o <= r for o, r in zip(other, row)) and other != row
+                        for other in rows)
+                for row in sorted(rows)
+            ]
+            assert _pareto_of_unique(distinct).tolist() == expected
 
 
 class TestVerifyApproximation:

@@ -165,6 +165,18 @@ class TestExtras:
         assert lines[0] == "p cnf 2 2"
         assert set(lines[1:]) == {"1 -2 0", "-1 -2 0"}
 
+    def test_dimacs_dump_leaves_out_learnt_clauses(self):
+        # any two variables false propagate to a conflict, so all-false
+        # polarity learns a clause before it finds the model
+        problem = [[1, 2, 3], [1, 2, -3], [1, -2, 3], [-1, 2, 3]]
+        solver = make_solver(3, problem)
+        assert solver.solve()
+        assert solver.learnt_idxs
+        lines = solver.to_dimacs().strip().splitlines()
+        assert lines[0] == "p cnf 3 4"
+        dumped = {frozenset(int(t) for t in line.split()[:-1]) for line in lines[1:]}
+        assert dumped == {frozenset(clause) for clause in problem}
+
     def test_deadline_interrupts(self):
         # pigeonhole is hard enough to outlast a 1ms deadline
         solver = SatSolver()
