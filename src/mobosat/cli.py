@@ -67,12 +67,6 @@ def _emit(data: bytes, out: Optional[str]) -> None:
         Path(out).write_bytes(data)
 
 
-def _fraction_repr(value: Optional[Fraction]) -> Optional[str]:
-    if value is None:
-        return None
-    return f"{value.numerator}/{value.denominator}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mobosat",
@@ -205,10 +199,10 @@ def _cmd_evaluate(args) -> int:
     report = quality.make_report(a_points, reference=r_points, slack=args.protocol_slack)
     payload = {
         "schema": iomod.RESULT_SCHEMA,
-        "epsilon_vs_reference": _fraction_repr(report.epsilon_vs_reference),
+        "epsilon_vs_reference": iomod._ratio_str(report.epsilon_vs_reference),
         "epsilon_vs_reference_float": (None if report.epsilon_vs_reference is None
                                        else float(report.epsilon_vs_reference)),
-        "hypervolume": _fraction_repr(report.hypervolume),
+        "hypervolume": iomod._ratio_str(report.hypervolume),
         "hypervolume_float": None if report.hypervolume is None else float(report.hypervolume),
         "denominators": list(report.denominators),
         "shifted": report.shifted,

@@ -8,15 +8,17 @@ subproblems share nodes across every requested threshold.  Full equivalence
 is emitted for each node, so in every model the output literals mirror the
 sum exactly in both directions.
 
-``ObjectiveLadder`` wraps a ``UnarySum`` for one objective and hands out
-threshold literals ``y(d) <-> f(x) < d``.  Pseudo-Boolean ``>=`` constraints
-reuse the same machinery with the root literal asserted.
+``ObjectiveLadder`` hands out threshold literals ``y(d) <-> f(x) < d`` for
+one objective from a lazy ``UnarySum``.  An ``eager`` ladder, whose caller
+will request every attainable threshold, builds the generalized totalizer
+(``TotalizerSum``) instead when its exact clause count is at most the DAG's
+bound of 6 clauses per (term index, attainable nonzero suffix sum) node.
+Pseudo-Boolean ``>=`` constraints reuse the DAG with the root asserted.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import Instance, LinearExpr, PBConstraint
@@ -78,6 +80,11 @@ def _next_reachable(mask: int, bound: int) -> int:
     return (shifted & -shifted).bit_length() - 1 + bound
 
 
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
 class UnarySum:
     """Lazy unary representation of ``sum w_j * l_j`` over Boolean literals."""
 
@@ -104,8 +111,13 @@ class UnarySum:
 
     def reachable_sums(self) -> List[int]:
         """All attainable values of the sum, ascending."""
-        mask = self.suffix_mask[0]
-        return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+        return _bits(self.suffix_mask[0])
+
+    @property
+    def clause_bound(self) -> int:
+        """Most clauses this DAG can emit, every threshold requested: one node
+        per (term index, attainable nonzero suffix sum), at most 6 each."""
+        return 6 * sum(m.bit_count() - 1 for m in self.suffix_mask[:-1])
 
     @property
     def clauses_emitted(self) -> int:
@@ -167,74 +179,77 @@ class TotalizerSum:
     its sub-sum, with equivalence in both directions plus the intra-node
     ladder (``sum >= v`` implies ``sum >= v'`` for smaller v').  Terms are
     sorted by weight so equal coefficients merge with few distinct values.
-    Small when the weights take few distinct values, as after coefficient
-    rounding; on many distinct weights the lazy ``UnarySum`` is smaller even
-    when every threshold is requested.
+    Building one lays out the merge tree and every node's attainable sums,
+    which give the exact ``clause_count``, and emits nothing; ``emit`` writes
+    the clauses from that tree.  The count follows the number of distinct
+    partial sums: small after coefficient rounding, large on many weights.
     """
 
     def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False):
         self.encoder = encoder
         self.sink = _ClauseSink(encoder, objective)
-        ordered = sorted(terms, key=lambda t: (t[0], abs(t[1]), t[1] < 0))
-        # leaf nodes: (sorted values, {value: literal})
-        nodes: List[Tuple[List[int], Dict[int, int]]] = [
-            ([w], {w: lit}) for w, lit in ordered
-        ]
-        if not nodes:
-            nodes = [([], {})]
-        while len(nodes) > 1:
-            merged = []
-            for i in range(0, len(nodes) - 1, 2):
-                merged.append(self._merge(nodes[i], nodes[i + 1]))
-            if len(nodes) % 2:
-                merged.append(nodes[-1])
-            nodes = merged
-        self.values, self.outputs = nodes[0]
+        self.leaves = sorted(terms, key=lambda t: (t[0], abs(t[1]), t[1] < 0))
+        # Node i < len(leaves) is leaf i (a lone node with mask 1 if there is
+        # none); every later node merges two earlier ones, neighbours paired
+        # level by level.  A mask holds the node's attainable sums, bit 0 too.
+        self.masks = [1 | 1 << w for w, _ in self.leaves] or [1]
+        self.merges: List[Tuple[int, int]] = []
+        self.clause_count = 0
+        level = list(range(len(self.masks)))
+        while len(level) > 1:
+            paired = []
+            for a, b in zip(level[0::2], level[1::2]):
+                merged = 0
+                for v in _bits(self.masks[a]):
+                    merged |= self.masks[b] << v
+                self.merges.append((a, b))
+                self.masks.append(merged)
+                paired.append(len(self.masks) - 1)
+                self.clause_count += (2 * self.masks[a].bit_count() * self.masks[b].bit_count()
+                                      + merged.bit_count() - 4)
+            level = paired + level[2 * len(paired):]
+        self.outputs: Dict[int, int] = {}
 
-    def _merge(self, a, b):
-        solver = self.encoder.solver
+    def emit(self) -> None:
+        """Emit the merge tree's clauses, ``clause_count`` of them."""
+        nodes = [{w: lit} for w, lit in self.leaves] or [{}]
+        for a, b in self.merges:
+            nodes.append(self._merge(nodes[a], nodes[b], self.masks[len(nodes)]))
+        self.outputs = nodes[-1]
+
+    def _merge(self, a: Dict[int, int], b: Dict[int, int], mask: int) -> Dict[int, int]:
+        """Output literals ``{v: sum >= v}`` of the node merging ``a`` and ``b``,
+        whose attainable sums are ``mask``; keys ascend, as in ``a`` and ``b``."""
         add = self.sink.add
-        avals, alits = a
-        bvals, blits = b
-        values = sorted({va + vb for va in [0] + avals for vb in [0] + bvals} - {0})
-        out = {v: solver.new_var() for v in values}
-
-        def next_in(vals: List[int], x: int):
-            idx = bisect_right(vals, x)
-            return vals[idx] if idx < len(vals) else None
-
-        for va in [0] + avals:
-            for vb in [0] + bvals:
+        values = _bits(mask)
+        out = {v: self.encoder.solver.new_var() for v in values[1:]}
+        after = dict(zip(values, values[1:]))
+        avals, bvals = [0, *a], [0, *b]
+        for va, na in zip(avals, avals[1:] + [None]):
+            for vb, nb in zip(bvals, bvals[1:] + [None]):
                 total = va + vb
                 if total > 0:
                     # sum_a >= va and sum_b >= vb  =>  sum >= va+vb
                     clause = [out[total]]
                     if va:
-                        clause.append(-alits[va])
+                        clause.append(-a[va])
                     if vb:
-                        clause.append(-blits[vb])
+                        clause.append(-b[vb])
                     add(clause)
-                nxt = next_in(values, total)
-                if nxt is not None:
+                if total in after:
                     # sum_a <= va and sum_b <= vb  =>  sum < next value
-                    clause = [-out[nxt]]
-                    na = next_in(avals, va)
-                    nb = next_in(bvals, vb)
+                    clause = [-out[after[total]]]
                     if na is not None:
-                        clause.append(alits[na])
+                        clause.append(a[na])
                     if nb is not None:
-                        clause.append(blits[nb])
+                        clause.append(b[nb])
                     add(clause)
-        for smaller, larger in zip(values, values[1:]):
+        for smaller, larger in zip(values[1:], values[2:]):
             add([-out[larger], out[smaller]])
-        return values, out
-
-    @property
-    def max_sum(self) -> int:
-        return self.values[-1] if self.values else 0
+        return out
 
     def reachable_sums(self) -> List[int]:
-        return [0] + list(self.values)
+        return _bits(self.masks[-1])
 
     @property
     def clauses_emitted(self) -> int:
@@ -243,10 +258,8 @@ class TotalizerSum:
     def geq(self, bound: int):
         if bound <= 0:
             return TRUE
-        idx = bisect_left(self.values, bound)
-        if idx == len(self.values):
-            return FALSE
-        return self.outputs[self.values[idx]]
+        value = _next_reachable(self.masks[-1], bound)
+        return FALSE if value < 0 else self.outputs[value]
 
 
 class ObjectiveLadder:
@@ -256,7 +269,8 @@ class ObjectiveLadder:
     before the sum structure is built, shrinking the encoding.  Threshold
     literals are created lazily and idempotently; thresholds at or below the
     attainable minimum are the constant-false literal, those above the
-    attainable maximum the constant-true literal.
+    attainable maximum the constant-true literal.  An ``eager`` ladder emits
+    the totalizer at once when it is no larger than the DAG's bound.
     """
 
     def __init__(self, encoder: Encoder, index: int, expr: LinearExpr,
@@ -276,8 +290,12 @@ class ObjectiveLadder:
             else:
                 terms.append((coeff, signed))
         self.constant = constant
-        sum_cls = TotalizerSum if eager else UnarySum
-        self.sum = sum_cls(encoder, terms, objective=True)
+        self.sum = UnarySum(encoder, terms, objective=True)
+        if eager:
+            totalizer = TotalizerSum(encoder, terms, objective=True)
+            if totalizer.clause_count <= self.sum.clause_bound:
+                totalizer.emit()
+                self.sum = totalizer
         self._thresholds: Dict[int, int] = {}
 
     @property
@@ -287,10 +305,6 @@ class ObjectiveLadder:
     def reachable_values(self) -> List[int]:
         """Attainable objective values (over all assignments), ascending."""
         return [self.constant + s for s in self.sum.reachable_sums()]
-
-    @property
-    def max_value(self) -> int:
-        return self.constant + self.sum.max_sum
 
     def encode_lt(self, d: int) -> int:
         """Return the literal for ``f(x) < d``, emitting clauses on first use."""
@@ -361,7 +375,8 @@ def encode_objective(encoder: Encoder, index: int, expr: LinearExpr,
                      fixed: Sequence[int] = (), eager: bool = False) -> ObjectiveLadder:
     """Build the unary structure for one (possibly approximate) objective.
 
-    ``eager`` selects the pairwise-merge totalizer, which materializes every
-    attainable value up front; the default is the lazy per-threshold form.
+    ``eager`` means the caller will request every attainable threshold; the
+    ladder then builds the smaller of the totalizer and the DAG (see
+    ``ObjectiveLadder``).  The default is the lazy per-threshold DAG.
     """
     return ObjectiveLadder(encoder, index, expr, fixed, eager=eager)

@@ -209,8 +209,8 @@ def _constrained_solver(instance: Instance) -> Tuple[SatSolver, Encoder, Tuple[i
 
 def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr,
                      fixed: Sequence[int]) -> PreparedObjective:
-    """Eager ladder of ``expr`` whose domain is every attainable value plus
-    one past the largest."""
+    """Ladder of ``expr`` whose domain is every attainable value plus one
+    past the largest; the ladder picks its encoding for that domain."""
     ladder = encode_objective(encoder, index, expr, fixed, eager=True)
     reachable = ladder.reachable_values()
     domain = tuple(reachable) + (reachable[-1] + 1,)

@@ -32,12 +32,6 @@ class Literal:
         """DIMACS-style signed integer (-v for a negated literal)."""
         return -self.var if self.negated else self.var
 
-    @staticmethod
-    def from_signed(lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("0 is not a literal")
-        return Literal(abs(lit), lit < 0)
-
 
 @dataclass(frozen=True)
 class LinearExpr:
@@ -69,9 +63,6 @@ class LinearExpr:
     def upper_bound(self) -> int:
         return self.constant + sum(c for c, _ in self.terms)
 
-    def variables(self) -> Tuple[int, ...]:
-        return tuple(lit.var for _, lit in self.terms)
-
 
 @dataclass(frozen=True)
 class PBConstraint:
@@ -88,10 +79,6 @@ class PBConstraint:
     def trivial(self) -> bool:
         """True when every assignment satisfies the constraint."""
         return self.bound <= 0
-
-    @property
-    def unsatisfiable(self) -> bool:
-        return self.bound > self.lhs.upper_bound
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ class SatSolver:
         for lit in lits:
             code = _to_code(lit)
             var = code >> 1
-            if var > self.num_vars:
+            if not 0 < var <= self.num_vars:
                 raise ValueError(f"unknown variable {var}; call new_var first")
             prev = seen.get(var)
             if prev is None:
@@ -423,7 +423,7 @@ class SatSolver:
         assume_codes = []
         for lit in assumptions:
             code = _to_code(lit)
-            if code >> 1 > self.num_vars:
+            if not 0 < code >> 1 <= self.num_vars:
                 raise ValueError(f"unknown assumption variable {code >> 1}")
             assume_codes.append(code)
         conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])

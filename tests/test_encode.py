@@ -12,6 +12,8 @@ from mobosat.encode import (
     encode_objective,
     encode_pb_geq,
 )
+from mobosat.approx import approx_coefficients
+from mobosat.io import generate_mscp
 from mobosat.model import LinearExpr, Literal, PBConstraint, evaluate
 from mobosat.sat import SatSolver, SolveBudgetExceeded
 
@@ -226,6 +228,8 @@ class TestSumStructures:
             terms = [(rng.randint(1, 7), (v + 1) * rng.choice((1, -1))) for v in range(n)]
             solver, encoder = fresh(n)
             s = cls(encoder, terms, objective=True)
+            if cls is TotalizerSum:
+                s.emit()
             bound_lits = {}
             for v in s.reachable_sums():
                 if v > 0:
@@ -236,3 +240,89 @@ class TestSumStructures:
                 total = sum(w for w, l in terms if (bits[abs(l) - 1] == 1) == (l > 0))
                 for v, g in bound_lits.items():
                     assert solver.model_value(g) == (total >= v)
+
+
+def random_weight_vectors(seed):
+    """(name, weights) cases: empty, one term, all equal, many distinct."""
+    rng = random.Random(seed)
+    yield "empty", []
+    for _ in range(5):
+        yield "one", [rng.randint(1, 1000)]
+        yield "equal", [rng.randint(1, 50)] * rng.randint(2, 12)
+        yield "distinct", rng.sample(range(1, 1001), rng.randint(2, 12))
+        yield "mixed", [rng.randint(1, rng.randint(1, 1000)) for _ in range(rng.randint(2, 12))]
+
+
+def signed_terms(weights, rng):
+    return [(w, (v + 1) * rng.choice((1, -1))) for v, w in enumerate(weights)]
+
+
+class TestEncodingRule:
+    """An eager ladder builds the totalizer when its exact clause count is at
+    most the DAG's bound, and the DAG otherwise."""
+
+    W13 = [34, 23, 14, 22, 11, 27, 29, 11, 26, 24, 24, 20, 17]
+
+    def test_totalizer_count_is_exact(self):
+        rng = random.Random(41)
+        for name, weights in random_weight_vectors(41):
+            solver, encoder = fresh(len(weights))
+            totalizer = TotalizerSum(encoder, signed_terms(weights, rng), objective=True)
+            assert encoder.objective_clauses == 0
+            totalizer.emit()
+            assert totalizer.clauses_emitted == totalizer.clause_count, (name, weights)
+
+    def test_dag_within_bound_with_every_threshold(self):
+        rng = random.Random(43)
+        for name, weights in random_weight_vectors(43):
+            solver, encoder = fresh(len(weights))
+            dag = UnarySum(encoder, signed_terms(weights, rng), objective=True)
+            for v in dag.reachable_sums():
+                dag.geq(v)
+            assert dag.clauses_emitted <= dag.clause_bound, (name, weights)
+
+    def test_eager_ladder_never_above_totalizer(self):
+        rng = random.Random(47)
+        for name, weights in random_weight_vectors(47):
+            terms = signed_terms(weights, rng)
+            solver, encoder = fresh(len(weights))
+            totalizer_count = TotalizerSum(encoder, terms).clause_count
+            f = LinearExpr(tuple((w, Literal(abs(l), l < 0)) for w, l in terms))
+            ladder = encode_objective(encoder, 0, f, eager=True)
+            for d in ladder.reachable_values():
+                ladder.encode_lt(d)
+            assert ladder.clauses_emitted <= totalizer_count, (name, weights)
+
+    def complete(self, f):
+        instance_vars = max((l.var for _, l in f.terms), default=0)
+        solver, encoder = fresh(instance_vars)
+        ladder = encode_objective(encoder, 0, f, eager=True)
+        reachable = ladder.reachable_values()
+        lits = {d: ladder.encode_lt(d) for d in reachable + [reachable[-1] + 1]}
+        terms = [(c, l.to_signed()) for c, l in f.terms]
+        return solver, ladder, lits, TotalizerSum(Encoder(SatSolver()), terms).clause_count
+
+    def test_many_distinct_weights_pick_the_dag(self):
+        f = generate_mscp(16, 6, 3, 3).objectives[1]
+        _, ladder, _, totalizer_count = self.complete(f)
+        assert isinstance(ladder.sum, UnarySum)
+        assert ladder.clauses_emitted <= totalizer_count
+
+    def test_rounded_weights_pick_the_totalizer(self):
+        f = approx_coefficients(generate_mscp(16, 6, 3, 3).objectives[1], 11).approx
+        _, ladder, _, totalizer_count = self.complete(f)
+        assert isinstance(ladder.sum, TotalizerSum)
+        assert ladder.clauses_emitted == totalizer_count
+
+    def test_dag_threshold_semantics_sampled(self):
+        f = LinearExpr(tuple((w, lit(v + 1)) for v, w in enumerate(self.W13)), 3)
+        solver, ladder, lits, totalizer_count = self.complete(f)
+        assert isinstance(ladder.sum, UnarySum)
+        assert (totalizer_count, ladder.sum.clause_bound) == (6912, 6816)
+        rng = random.Random(53)
+        for _ in range(40):
+            bits = tuple(rng.randint(0, 1) for _ in self.W13)
+            assert solver.solve([v + 1 if b else -(v + 1) for v, b in enumerate(bits)])
+            value = evaluate(f, bits)
+            for d, y in lits.items():
+                assert solver.model_value(y) == (value < d), (bits, d)

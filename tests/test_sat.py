@@ -72,6 +72,17 @@ class TestBasics:
         assert solver.solve()
         assert len(solver.model_assignment()) == 4
 
+    def test_literal_zero_rejected(self):
+        # 0 names no variable: it must not alias the reserved slot 0
+        solver = make_solver(1, [])
+        with pytest.raises(ValueError):
+            solver.add_clause([0, 1])
+        with pytest.raises(ValueError):
+            solver.solve([0])
+        solver.add_clause([-1])
+        assert solver.solve()
+        assert solver.model_value(1) is False
+
 
 class TestDifferential:
     @pytest.mark.parametrize("seed", range(6))
