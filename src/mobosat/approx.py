@@ -50,17 +50,15 @@ def compute_domain(lower: int, upper: int, ratio: Ratio) -> Tuple[int, ...]:
     """
     if not 0 <= lower <= upper:
         raise ValueError(f"need 0 <= lower <= upper, got {lower}, {upper}")
-    ratio = as_ratio(ratio)
-    values = [lower]
-    current = lower
-    while current <= upper:
-        current = max(current + 1, math.floor(ratio * current))
-        values.append(current)
-    return tuple(values)
+    return weight_grid(lower, upper + 1, ratio)
 
 
 def weight_grid(min_weight: int, max_weight: int, ratio: Ratio) -> Tuple[int, ...]:
-    """Rounding grid from the smallest weight up to the first value >= the largest."""
+    """Grid from ``min_weight`` up to the first value >= ``max_weight``.
+
+    The one statement of the grid law; threshold domains and weight
+    roundings both take their values from it.
+    """
     ratio = as_ratio(ratio)
     values = [min_weight]
     current = min_weight

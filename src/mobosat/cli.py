@@ -167,6 +167,8 @@ def _generated_pbmo(n: int, m: int, p: int, seed: int) -> str:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.count == 1:
         _emit(_generated_pbmo(args.n, args.m, args.p, args.seed).encode("utf-8"), args.out)
         return EXIT_OK

@@ -13,7 +13,9 @@ one objective from a lazy ``UnarySum``.  An ``eager`` ladder, whose caller
 will request every attainable threshold, builds the generalized totalizer
 (``TotalizerSum``) instead when its exact clause count is at most the DAG's
 bound of 6 clauses per (term index, attainable nonzero suffix sum) node.
+A ladder reads the literals fixed at the root from its own solver.
 Pseudo-Boolean ``>=`` constraints reuse the DAG with the root asserted.
+Every clause goes through ``Encoder.add``, the one clause sink.
 """
 
 from __future__ import annotations
@@ -29,47 +31,36 @@ FALSE = False
 
 
 class Encoder:
-    """Owns constant literals and clause accounting for one solver."""
+    """Owns constant literals, the clause sink and objective clause accounting
+    for one solver."""
 
     def __init__(self, solver: SatSolver):
         self.solver = solver
         self._true_lit: Optional[int] = None
-        self.constraint_clauses = 0
         self.objective_clauses = 0
+
+    def add(self, lits: Sequence[int], objective: bool) -> None:
+        """Add one clause to the solver, counting it when ``objective``.
+
+        Raises SolveBudgetExceeded before the clause once the solver's
+        deadline has passed, so no build, eager or lazy, outlasts the budget.
+        """
+        solver = self.solver
+        if solver.deadline is not None and time.monotonic() > solver.deadline:
+            raise SolveBudgetExceeded()
+        solver.add_clause(lits)
+        if objective:
+            self.objective_clauses += 1
 
     def true_lit(self) -> int:
         if self._true_lit is None:
             var = self.solver.new_var()
-            self.solver.add_clause([var])
+            self.add([var], objective=False)
             self._true_lit = var
         return self._true_lit
 
     def false_lit(self) -> int:
         return -self.true_lit()
-
-
-class _ClauseSink:
-    """Collects emitted clauses into the solver and counts them.
-
-    Raises SolveBudgetExceeded before a clause once the solver's deadline has
-    passed, so no build, eager or lazy, outlasts the budget.
-    """
-
-    def __init__(self, encoder: Encoder, objective: bool):
-        self.encoder = encoder
-        self.objective = objective
-        self.emitted = 0
-
-    def add(self, lits: Sequence[int]) -> None:
-        solver = self.encoder.solver
-        if solver.deadline is not None and time.monotonic() > solver.deadline:
-            raise SolveBudgetExceeded()
-        solver.add_clause(lits)
-        self.emitted += 1
-        if self.objective:
-            self.encoder.objective_clauses += 1
-        else:
-            self.encoder.constraint_clauses += 1
 
 
 def _next_reachable(mask: int, bound: int) -> int:
@@ -92,7 +83,7 @@ class UnarySum:
         # terms: (weight, signed literal), weights >= 1; sorted for determinism
         # and good node sharing (big weights near the root).
         self.encoder = encoder
-        self.sink = _ClauseSink(encoder, objective)
+        self.objective = objective
         self.terms = sorted(terms, key=lambda t: (-t[0], abs(t[1]), t[1] < 0))
         n = len(self.terms)
         self.suffix_mask: List[int] = [0] * (n + 1)
@@ -105,10 +96,6 @@ class UnarySum:
             self.suffix_max[j] = self.suffix_max[j + 1] + w
         self._memo: Dict[Tuple[int, int], object] = {}
 
-    @property
-    def max_sum(self) -> int:
-        return self.suffix_max[0]
-
     def reachable_sums(self) -> List[int]:
         """All attainable values of the sum, ascending."""
         return _bits(self.suffix_mask[0])
@@ -119,16 +106,8 @@ class UnarySum:
         per (term index, attainable nonzero suffix sum), at most 6 each."""
         return 6 * sum(m.bit_count() - 1 for m in self.suffix_mask[:-1])
 
-    @property
-    def clauses_emitted(self) -> int:
-        return self.sink.emitted
-
     def geq(self, bound: int):
         """Literal equivalent to ``sum >= bound`` (or the constants True/False)."""
-        if bound <= 0:
-            return TRUE
-        if bound > self.max_sum:
-            return FALSE
         return self._build(0, bound)
 
     def _build(self, j: int, bound: int):
@@ -144,30 +123,30 @@ class UnarySum:
         weight, lit = self.terms[j]
         hi = self._build(j + 1, bound - weight)  # branch: lit true
         lo = self._build(j + 1, bound)  # branch: lit false
-        add = self.sink.add
+        add, objective = self.encoder.add, self.objective
         if hi is TRUE and lo is FALSE:
             out = lit
         elif hi is TRUE:
             # out <-> lit | lo
             out = self.encoder.solver.new_var()
-            add([-lit, out])
-            add([-lo, out])
-            add([-out, lit, lo])
+            add([-lit, out], objective)
+            add([-lo, out], objective)
+            add([-out, lit, lo], objective)
         elif lo is FALSE:
             # out <-> lit & hi
             out = self.encoder.solver.new_var()
-            add([-out, lit])
-            add([-out, hi])
-            add([-lit, -hi, out])
+            add([-out, lit], objective)
+            add([-out, hi], objective)
+            add([-lit, -hi, out], objective)
         else:
             # out <-> (lit ? hi : lo); lo implies hi, which tightens two clauses
             out = self.encoder.solver.new_var()
-            add([-out, -lit, hi])
-            add([-out, lit, lo])
-            add([out, -lit, -hi])
-            add([out, lit, -lo])
-            add([-out, hi])
-            add([-lo, out])
+            add([-out, -lit, hi], objective)
+            add([-out, lit, lo], objective)
+            add([out, -lit, -hi], objective)
+            add([out, lit, -lo], objective)
+            add([-out, hi], objective)
+            add([-lo, out], objective)
         self._memo[key] = out
         return out
 
@@ -187,7 +166,7 @@ class TotalizerSum:
 
     def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False):
         self.encoder = encoder
-        self.sink = _ClauseSink(encoder, objective)
+        self.objective = objective
         self.leaves = sorted(terms, key=lambda t: (t[0], abs(t[1]), t[1] < 0))
         # Node i < len(leaves) is leaf i (a lone node with mask 1 if there is
         # none); every later node merges two earlier ones, neighbours paired
@@ -220,7 +199,7 @@ class TotalizerSum:
     def _merge(self, a: Dict[int, int], b: Dict[int, int], mask: int) -> Dict[int, int]:
         """Output literals ``{v: sum >= v}`` of the node merging ``a`` and ``b``,
         whose attainable sums are ``mask``; keys ascend, as in ``a`` and ``b``."""
-        add = self.sink.add
+        add, objective = self.encoder.add, self.objective
         values = _bits(mask)
         out = {v: self.encoder.solver.new_var() for v in values[1:]}
         after = dict(zip(values, values[1:]))
@@ -235,7 +214,7 @@ class TotalizerSum:
                         clause.append(-a[va])
                     if vb:
                         clause.append(-b[vb])
-                    add(clause)
+                    add(clause, objective)
                 if total in after:
                     # sum_a <= va and sum_b <= vb  =>  sum < next value
                     clause = [-out[after[total]]]
@@ -243,17 +222,13 @@ class TotalizerSum:
                         clause.append(a[na])
                     if nb is not None:
                         clause.append(b[nb])
-                    add(clause)
+                    add(clause, objective)
         for smaller, larger in zip(values[1:], values[2:]):
-            add([-out[larger], out[smaller]])
+            add([-out[larger], out[smaller]], objective)
         return out
 
     def reachable_sums(self) -> List[int]:
         return _bits(self.masks[-1])
-
-    @property
-    def clauses_emitted(self) -> int:
-        return self.sink.emitted
 
     def geq(self, bound: int):
         if bound <= 0:
@@ -265,27 +240,27 @@ class TotalizerSum:
 class ObjectiveLadder:
     """Threshold literals ``y(d) <-> f(x) < d`` for one objective.
 
-    Variables fixed at decision level 0 are substituted into the constant
-    before the sum structure is built, shrinking the encoding.  Threshold
-    literals are created lazily and idempotently; thresholds at or below the
+    Literals the solver has fixed at decision level 0 (``add_clause``
+    propagates each unit it adds) are substituted into the constant before
+    the sum structure is built, shrinking the encoding.  Threshold literals
+    are created lazily and idempotently; thresholds at or below the
     attainable minimum are the constant-false literal, those above the
     attainable maximum the constant-true literal.  An ``eager`` ladder emits
     the totalizer at once when it is no larger than the DAG's bound.
     """
 
-    def __init__(self, encoder: Encoder, index: int, expr: LinearExpr,
-                 fixed: Sequence[int] = (), eager: bool = False):
+    def __init__(self, encoder: Encoder, index: int, expr: LinearExpr, eager: bool = False):
         self.encoder = encoder
         self.index = index
         self.expr = expr
-        fixed_set = set(fixed)
+        fixed = set(encoder.solver.fixed_literals())
         constant = expr.constant
         terms: List[Tuple[int, int]] = []
         for coeff, lit in expr.terms:
             signed = lit.to_signed()
-            if signed in fixed_set:
+            if signed in fixed:
                 constant += coeff
-            elif -signed in fixed_set:
+            elif -signed in fixed:
                 pass  # term is 0 for every model
             else:
                 terms.append((coeff, signed))
@@ -297,10 +272,6 @@ class ObjectiveLadder:
                 totalizer.emit()
                 self.sum = totalizer
         self._thresholds: Dict[int, int] = {}
-
-    @property
-    def clauses_emitted(self) -> int:
-        return self.sum.clauses_emitted
 
     def reachable_values(self) -> List[int]:
         """Attainable objective values (over all assignments), ascending."""
@@ -324,59 +295,41 @@ class ObjectiveLadder:
         return lit
 
 
-def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> int:
-    """Emit hard clauses equivalent to ``constraint``; returns clause count."""
-    sink_before = encoder.constraint_clauses
+def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> None:
+    """Emit hard clauses equivalent to ``constraint``."""
     bound = constraint.bound
     terms = [(c, lit.to_signed()) for c, lit in constraint.lhs.terms]
     total = sum(c for c, _ in terms)
     if bound <= 0:
-        return 0
+        return
     if bound > total:
-        encoder.solver.add_clause([])
-        encoder.constraint_clauses += 1
-        return encoder.constraint_clauses - sink_before
-    if bound == total:
+        encoder.add([], objective=False)
+    elif bound == total:
         for _, lit in terms:
-            encoder.solver.add_clause([lit])
-            encoder.constraint_clauses += 1
-        return encoder.constraint_clauses - sink_before
-    if bound == 1:
-        encoder.solver.add_clause([lit for _, lit in terms])
-        encoder.constraint_clauses += 1
-        return encoder.constraint_clauses - sink_before
-    s = UnarySum(encoder, terms, objective=False)
-    g = s.geq(bound)
-    if g is TRUE:
-        pass
-    elif g is FALSE:
-        encoder.solver.add_clause([])
-        encoder.constraint_clauses += 1
+            encoder.add([lit], objective=False)
+    elif bound == 1:
+        encoder.add([lit for _, lit in terms], objective=False)
     else:
-        encoder.solver.add_clause([g])
-        encoder.constraint_clauses += 1
-    return encoder.constraint_clauses - sink_before
+        # 1 < bound < total: the DAG's root is a literal, not a constant
+        encoder.add([UnarySum(encoder, terms).geq(bound)], objective=False)
 
 
-def encode_instance_constraints(encoder: Encoder, instance: Instance) -> int:
+def encode_instance_constraints(encoder: Encoder, instance: Instance) -> None:
     """Allocate decision variables and emit all constraint clauses."""
     solver = encoder.solver
     while solver.num_vars < instance.num_vars:
         solver.new_var()
-    emitted = 0
     for constraint in instance.constraints:
-        if constraint.trivial:
-            continue
-        emitted += encode_pb_geq(encoder, constraint)
-    return emitted
+        if not constraint.trivial:
+            encode_pb_geq(encoder, constraint)
 
 
 def encode_objective(encoder: Encoder, index: int, expr: LinearExpr,
-                     fixed: Sequence[int] = (), eager: bool = False) -> ObjectiveLadder:
+                     eager: bool = False) -> ObjectiveLadder:
     """Build the unary structure for one (possibly approximate) objective.
 
     ``eager`` means the caller will request every attainable threshold; the
     ladder then builds the smaller of the totalizer and the DAG (see
     ``ObjectiveLadder``).  The default is the lazy per-threshold DAG.
     """
-    return ObjectiveLadder(encoder, index, expr, fixed, eager=eager)
+    return ObjectiveLadder(encoder, index, expr, eager=eager)

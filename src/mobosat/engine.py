@@ -22,10 +22,11 @@ A driver only prepares each iteration:
 When the solver outlives the iteration, the loop guards the enumerator's
 region blocks with a selector and retires it when the iteration ends, so
 iteration-scoped state never outlives its iteration.  A wall-clock budget
-becomes the ``deadline`` of every solver a run builds once its constraints
-are known to be satisfiable at the root; past it, solving and encoding
-alike raise SolveBudgetExceeded, and the run returns partial results
-flagged as truncated with the ratio warranted by the last completed
+becomes the ``deadline`` of every solver a run builds: ``_constrained_solver``
+sets it once the constraints are encoded and propagated at the root, so
+constraint encoding stays outside the budget.  Past it, solving and
+encoding alike raise SolveBudgetExceeded, and the run returns partial
+results flagged as truncated with the ratio warranted by the last completed
 iteration.
 """
 
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from . import model
 from .approx import approx_coefficients, as_ratio, compute_domain
 from .encode import Encoder, encode_instance_constraints, encode_objective
 from .mcs import McsInvariantError, SoftSet, check_witness_bounds, extract_mcs
@@ -78,8 +80,13 @@ class RatioSchedule:
             raise ValueError(f"divisor must be > 1, got {self.divisor}")
         if not self.start >= self.target >= 1:
             raise ValueError("need start ratio >= target ratio >= 1")
-        if self.budget_s is not None and self.budget_s <= 0:
-            raise ValueError("time budget must be positive")
+        _check_budget(self.budget_s)
+
+
+def _check_budget(budget_s: Optional[float]) -> None:
+    """Reject a budget that is not a positive number of seconds, NaN included."""
+    if budget_s is not None and not budget_s > 0:
+        raise ValueError(f"time budget must be positive, got {budget_s}")
 
 
 def _deadline(budget_s: Optional[float]) -> Optional[float]:
@@ -142,8 +149,8 @@ class McsApproxOutcome:
     completed: bool
 
 
-def _assignment_from_model(model: Sequence[int], num_vars: int) -> Tuple[int, ...]:
-    return tuple(1 if model[v] == 1 else 0 for v in range(1, num_vars + 1))
+def _assignment_from_model(values: Sequence[int], num_vars: int) -> Tuple[int, ...]:
+    return tuple(1 if values[v] == 1 else 0 for v in range(1, num_vars + 1))
 
 
 def _build_softs(prepared: Sequence[PreparedObjective]) -> SoftSet:
@@ -185,7 +192,7 @@ def mcs_approx(
             raise McsInvariantError(
                 f"representative {rep} weakly dominated by an already blocked point"
             )
-        image = tuple(evaluate(f, assignment) for f in instance.objectives)
+        image = model.image(instance, assignment)
         records.append(SolutionRecord(assignment, image))
         reps.append(rep)
         block = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]
@@ -195,23 +202,24 @@ def mcs_approx(
         log.debug("mcs %d: rep=%s image=%s", len(reps), rep, image)
 
 
-def _constrained_solver(instance: Instance) -> Tuple[SatSolver, Encoder, Tuple[int, ...]]:
-    """A fresh solver holding the constraints, its encoder, and the literals
-    fixed at the root.  ``solver.ok`` is False when root propagation refutes
-    the constraints."""
+def _constrained_solver(instance: Instance,
+                        deadline: Optional[float]) -> Tuple[SatSolver, Encoder]:
+    """A fresh solver holding the constraints, propagated at the root and
+    bound by ``deadline``, and its encoder.  ``solver.ok`` is False when root
+    propagation refutes the constraints."""
     solver = SatSolver()
     encoder = Encoder(solver)
     encode_instance_constraints(encoder, instance)
     encoder.true_lit()  # pin the constant-true var at a fixed index
     solver.propagate_root()
-    return solver, encoder, tuple(sorted(solver.fixed_literals()))
+    solver.deadline = deadline
+    return solver, encoder
 
 
-def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr,
-                     fixed: Sequence[int]) -> PreparedObjective:
+def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr) -> PreparedObjective:
     """Ladder of ``expr`` whose domain is every attainable value plus one
     past the largest; the ladder picks its encoding for that domain."""
-    ladder = encode_objective(encoder, index, expr, fixed, eager=True)
+    ladder = encode_objective(encoder, index, expr, eager=True)
     reachable = ladder.reachable_values()
     domain = tuple(reachable) + (reachable[-1] + 1,)
     for d in domain:
@@ -309,22 +317,21 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     runs out.
     """
     deadline = _deadline(schedule.budget_s)
-    base: Optional[tuple] = _constrained_solver(instance)
+    base: Optional[tuple] = _constrained_solver(instance, deadline)
     if not base[0].ok:
         return _INFEASIBLE
 
     def prepare(ratio, records, fresh):
         nonlocal base
         # the first iteration takes the solver of the feasibility check
-        solver, encoder, fixed = base or _constrained_solver(instance)
+        solver, encoder = base or _constrained_solver(instance, deadline)
         base = None
-        solver.deadline = deadline
         prepared: List[PreparedObjective] = []
         exact = True
         for k, f in enumerate(instance.objectives):
             rounding = approx_coefficients(f, ratio)
             exact = exact and rounding.exact
-            prepared.append(_complete_ladder(encoder, k, rounding.approx, fixed))
+            prepared.append(_complete_ladder(encoder, k, rounding.approx))
         seeds: List[Point] = []
         for rec in records:
             z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
@@ -348,11 +355,10 @@ def intre_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     warranted, or the budget runs out.
     """
     deadline = _deadline(schedule.budget_s)
-    solver, encoder, fixed = _constrained_solver(instance)
+    solver, encoder = _constrained_solver(instance, deadline)
     if not solver.ok:
         return _INFEASIBLE
-    solver.deadline = deadline
-    ladders = [encode_objective(encoder, k, f, fixed) for k, f in enumerate(instance.objectives)]
+    ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
 
     def prepare(ratio, records, fresh):
         prepared: List[PreparedObjective] = []
@@ -386,22 +392,20 @@ def enumerate_efficient_set(
     itself, plus one clause forbidding the witness assignment.  Returns the
     records and whether enumeration ran to exhaustion.
     """
-    deadline = _deadline(budget_s)
-    solver, encoder, fixed = _constrained_solver(instance)
+    _check_budget(budget_s)
+    solver, encoder = _constrained_solver(instance, _deadline(budget_s))
     if not solver.ok:
         return (), True
-    solver.deadline = deadline
     records: List[SolutionRecord] = []
     try:
-        prepared = [_complete_ladder(encoder, k, f, fixed)
-                    for k, f in enumerate(instance.objectives)]
+        prepared = [_complete_ladder(encoder, k, f) for k, f in enumerate(instance.objectives)]
         softs = _build_softs(prepared)
         while True:
             mcs = extract_mcs(solver, softs)
             if mcs is None:
                 return tuple(records), True
             assignment = _assignment_from_model(mcs.model, instance.num_vars)
-            image = tuple(evaluate(f, assignment) for f in instance.objectives)
+            image = model.image(instance, assignment)
             # complete ladders on the original objectives: image == representative
             check_witness_bounds(mcs, image, complete=True)
             records.append(SolutionRecord(assignment, image))

@@ -86,6 +86,15 @@ class TestSolve:
                      "--out", str(tmp_path / "o.json")])
         assert code == EXIT_TRUNCATED
 
+    @pytest.mark.parametrize("command", ["solve", "enumerate-efficient"])
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_non_positive_or_nan_time_limit_is_an_error(self, command, limit,
+                                                         instance_file, tmp_path):
+        code = main([command, str(instance_file), f"--time-limit={limit}",
+                     "--out", str(tmp_path / "o.json")])
+        assert code == EXIT_ERROR
+        assert not (tmp_path / "o.json").exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "ugly.pbmo"
         path.write_text("max: 1 x1 ;\n")
@@ -130,6 +139,15 @@ class TestOtherCommands:
         assert main(["generate", "-n", "8", "-m", "2", "-p", "2", "--seed", "1",
                      "--count", "3", "--out", str(outdir)]) == EXIT_OK
         assert len(list(outdir.glob("*.pbmo"))) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_generate_count_below_one_is_an_error(self, count, tmp_path, capsys):
+        outdir = tmp_path / "batch"
+        assert main(["generate", "-n", "8", "-m", "2", "-p", "2",
+                     "--count", count, "--out", str(outdir)]) == EXIT_ERROR
+        assert main(["generate", "-n", "8", "-m", "2", "-p", "2", "--count", count]) == EXIT_ERROR
+        assert "--count" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_oracle_refuses_above_cap(self, tmp_path):
         inst = tmp_path / "big.pbmo"

@@ -45,8 +45,7 @@ class TestPbConstraints:
     def test_clause_case_emits_single_clause(self):
         solver, encoder = fresh(2)
         before = len(solver.clauses)
-        emitted = encode_pb_geq(encoder, PBConstraint(LinearExpr(((1, lit(1)), (1, lit(2)))), 1))
-        assert emitted == 1
+        encode_pb_geq(encoder, PBConstraint(LinearExpr(((1, lit(1)), (1, lit(2)))), 1))
         assert len(solver.clauses) == before + 1
         assert sorted(solver.clauses[-1]) == sorted([2, 4])  # internal codes of x1, x2
 
@@ -109,9 +108,9 @@ class TestLadder:
         thresholds = [0, 2, 3, 4, 5, 7, 8]
         lits = {d: ladder.encode_lt(d) for d in thresholds}
         # idempotent: same literal, no duplicate clauses
-        emitted = ladder.clauses_emitted
+        emitted = encoder.objective_clauses
         assert all(ladder.encode_lt(d) == lits[d] for d in thresholds)
-        assert ladder.clauses_emitted == emitted
+        assert encoder.objective_clauses == emitted
         for bits, s in enumerate_models(solver, 3):
             value = evaluate(f, bits)
             for d, y in lits.items():
@@ -169,9 +168,8 @@ class TestLadder:
         solver, encoder = fresh(3)
         solver.add_clause([1])  # x1 fixed true
         assert solver.propagate_root()
-        fixed = solver.fixed_literals()
         f = LinearExpr(((3, lit(1)), (2, lit(2)), (2, lit(3))))
-        ladder = encode_objective(encoder, 0, f, fixed=fixed, eager=eager)
+        ladder = encode_objective(encoder, 0, f, eager=eager)
         assert ladder.constant == 3
         assert ladder.reachable_values() == [3, 5, 7]
         y5 = ladder.encode_lt(5)
@@ -183,15 +181,15 @@ class TestLadder:
 class TestClauseCounting:
     def test_objective_clauses_counted_separately(self, ladder_example):
         solver, encoder = fresh(3)
+        before = solver.num_clauses
         encode_instance_constraints(encoder, ladder_example)
-        constraint_count = encoder.constraint_clauses
-        assert constraint_count > 0
+        assert solver.num_clauses > before
         assert encoder.objective_clauses == 0
+        before = solver.num_clauses
         ladder = encode_objective(encoder, 0, ladder_example.objectives[0])
         for d in ladder.reachable_values():
             ladder.encode_lt(d)
-        assert encoder.objective_clauses == ladder.clauses_emitted > 0
-        assert encoder.constraint_clauses == constraint_count
+        assert encoder.objective_clauses == solver.num_clauses - before > 0
 
 
 class TestDeadline:
@@ -216,6 +214,12 @@ class TestDeadline:
         with pytest.raises(SolveBudgetExceeded):
             ladder.encode_lt(5)
         assert encoder.objective_clauses == 0
+        assert solver.num_clauses == clauses
+
+    def test_constraint_clause_raises(self, ladder_example):
+        solver, encoder, clauses = self.expired(ladder_example)
+        with pytest.raises(SolveBudgetExceeded):
+            encode_pb_geq(encoder, PBConstraint(LinearExpr(((1, lit(1)), (1, nlit(3)))), 1))
         assert solver.num_clauses == clauses
 
 
@@ -270,7 +274,7 @@ class TestEncodingRule:
             totalizer = TotalizerSum(encoder, signed_terms(weights, rng), objective=True)
             assert encoder.objective_clauses == 0
             totalizer.emit()
-            assert totalizer.clauses_emitted == totalizer.clause_count, (name, weights)
+            assert encoder.objective_clauses == totalizer.clause_count, (name, weights)
 
     def test_dag_within_bound_with_every_threshold(self):
         rng = random.Random(43)
@@ -279,7 +283,7 @@ class TestEncodingRule:
             dag = UnarySum(encoder, signed_terms(weights, rng), objective=True)
             for v in dag.reachable_sums():
                 dag.geq(v)
-            assert dag.clauses_emitted <= dag.clause_bound, (name, weights)
+            assert encoder.objective_clauses <= dag.clause_bound, (name, weights)
 
     def test_eager_ladder_never_above_totalizer(self):
         rng = random.Random(47)
@@ -291,7 +295,7 @@ class TestEncodingRule:
             ladder = encode_objective(encoder, 0, f, eager=True)
             for d in ladder.reachable_values():
                 ladder.encode_lt(d)
-            assert ladder.clauses_emitted <= totalizer_count, (name, weights)
+            assert encoder.objective_clauses <= totalizer_count, (name, weights)
 
     def complete(self, f):
         instance_vars = max((l.var for _, l in f.terms), default=0)
@@ -306,13 +310,13 @@ class TestEncodingRule:
         f = generate_mscp(16, 6, 3, 3).objectives[1]
         _, ladder, _, totalizer_count = self.complete(f)
         assert isinstance(ladder.sum, UnarySum)
-        assert ladder.clauses_emitted <= totalizer_count
+        assert ladder.encoder.objective_clauses <= totalizer_count
 
     def test_rounded_weights_pick_the_totalizer(self):
         f = approx_coefficients(generate_mscp(16, 6, 3, 3).objectives[1], 11).approx
         _, ladder, _, totalizer_count = self.complete(f)
         assert isinstance(ladder.sum, TotalizerSum)
-        assert ladder.clauses_emitted == totalizer_count
+        assert ladder.encoder.objective_clauses == totalizer_count
 
     def test_dag_threshold_semantics_sampled(self):
         f = LinearExpr(tuple((w, lit(v + 1)) for v, w in enumerate(self.W13)), 3)

@@ -279,6 +279,13 @@ class TestBudget:
             assert result.infeasible and not result.truncated
         assert enumerate_efficient_set(infeasible_instance, budget_s=1e-9) == ((), True)
 
+    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
+    def test_non_positive_or_nan_budget_rejected(self, budget, unconstrained_biobjective):
+        with pytest.raises(ValueError):
+            RatioSchedule(start=Fraction(2), budget_s=budget)
+        with pytest.raises(ValueError):
+            enumerate_efficient_set(unconstrained_biobjective, budget_s=budget)
+
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self, unconstrained_biobjective):

@@ -121,11 +121,10 @@ class TestEncodingCorrespondence:
             if not solver.propagate_root():
                 assert brute_force_pareto(instance).feasible_count == 0
                 continue
-            fixed = solver.fixed_literals()
             per_obj = []
             thresholds = []
             for k, f in enumerate(instance.objectives):
-                ladder = encode_objective(encoder, k, f, fixed, eager=True)
+                ladder = encode_objective(encoder, k, f, eager=True)
                 domain = ladder.reachable_values()
                 domain.append(domain[-1] + 1)
                 per_obj.append([ladder.encode_lt(d) for d in domain])

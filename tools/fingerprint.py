@@ -8,7 +8,8 @@ Imports ``mobosat`` from ``CHECKOUT/src`` and the anytime benchmark pool
 from ``CHECKOUT/perfbench/workloads.py``; ``CHECKOUT`` defaults to the
 checkout holding this file.  Prints one line per case: a sha256 prefix of
 the result JSON (of the efficient records for ``enumerate_efficient_set``),
-then the counters summed over every solver the case built.  A change that
+then the counters summed over every solver the case built, then the
+objective clauses summed over every encoder it built.  A change that
 must not alter search or results prints the same lines as its parent:
 
     python3 tools/fingerprint.py > new.txt
@@ -65,25 +66,34 @@ def main() -> None:
     root = Path(parser.parse_args().checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from mobosat import engine, io
+    from mobosat.encode import Encoder
     from mobosat.sat import SatSolver
 
     import workloads
 
     built = []
-    init = SatSolver.__init__
+    encoders = []
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
+    def record(cls, into):
+        init = cls.__init__
 
-    SatSolver.__init__ = recording_init
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            into.append(self)
+
+        cls.__init__ = recording_init
+
+    record(SatSolver, built)
+    record(Encoder, encoders)
     for name, thunk in _cases(engine, io, workloads):
         built.clear()
+        encoders.clear()
         digest = hashlib.sha256(thunk()).hexdigest()[:16]
         totals = [sum(s.stats[c] for s in built) for c in COUNTERS]
         totals.append(sum(s.num_vars for s in built))
         totals.append(sum(s.num_original_clauses for s in built))
         totals.append(sum(len(s.learnt_idxs) for s in built))
+        totals.append(sum(e.objective_clauses for e in encoders))
         print(name, digest, *totals)
 
 
