@@ -247,12 +247,11 @@ class ObjectiveLadder:
     attainable minimum are the constant-false literal, those above the
     attainable maximum the constant-true literal.  An ``eager`` ladder emits
     the totalizer at once when it is no larger than the DAG's bound.
+    ``index`` (the objective's position) is accepted but not stored.
     """
 
     def __init__(self, encoder: Encoder, index: int, expr: LinearExpr, eager: bool = False):
         self.encoder = encoder
-        self.index = index
-        self.expr = expr
         fixed = set(encoder.solver.fixed_literals())
         constant = expr.constant
         terms: List[Tuple[int, int]] = []

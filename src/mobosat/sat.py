@@ -9,6 +9,18 @@ other than assumptions.
 
 The solver is fully deterministic: identical call histories yield identical
 models.  Literals at the API boundary are DIMACS-style signed integers.
+
+The fast paths rely on three invariants:
+
+- the literal a reason clause implies sits at ``cl[0]``: ``_propagate``
+  moves the false watched literal to ``cl[1]`` before it implies ``cl[0]``,
+  and ``_analyze`` resolves on ``cl[1:]``;
+- a binary clause's blocker is always its other literal, so ``_propagate``
+  reads the blocker's value to decide unit or conflict and never seeks a
+  new watch in it;
+- heap ties are broken by heap layout, so any change to what enters the
+  branching heap, or in which order (the order analysis bumps a clause's
+  literals included), changes the search.
 """
 
 from __future__ import annotations
@@ -40,74 +52,74 @@ class _VarOrder:
     def __init__(self, activity: List[float]):
         self.activity = activity
         self.heap: List[int] = []
-        self.pos: List[int] = []
+        self.pos: List[int] = [-1]  # heap index per var, -1 when out
 
-    def _lt(self, a: int, b: int) -> bool:
-        return self.activity[a] > self.activity[b]
-
-    def _up(self, i: int) -> None:
+    def insert(self, codes: Iterable[int]) -> None:
+        """Insert the variables of the literal ``codes``, in order, skipping
+        those already in the heap."""
         heap, pos = self.heap, self.pos
-        x = heap[i]
+        for code in codes:
+            x = code >> 1
+            if pos[x] >= 0:
+                continue
+            pos[x] = len(heap)
+            heap.append(x)
+            self.update(x)
+
+    def update(self, var: int) -> None:
+        """Sift ``var`` up after its activity grew, if it is in the heap."""
+        heap, pos, activity = self.heap, self.pos, self.activity
+        i = pos[var]
+        ax = activity[var]
         while i > 0:
             parent = (i - 1) >> 1
-            if self._lt(x, heap[parent]):
-                heap[i] = heap[parent]
-                pos[heap[i]] = i
+            y = heap[parent]
+            if ax > activity[y]:
+                heap[i] = y
+                pos[y] = i
                 i = parent
             else:
                 break
-        heap[i] = x
-        pos[x] = i
+        if i >= 0:
+            heap[i] = var
+            pos[var] = i
 
-    def _down(self, i: int) -> None:
-        heap, pos = self.heap, self.pos
-        x = heap[i]
-        size = len(heap)
-        while True:
-            left = 2 * i + 1
-            if left >= size:
-                break
-            right = left + 1
-            child = right if right < size and self._lt(heap[right], heap[left]) else left
-            if self._lt(heap[child], x):
-                heap[i] = heap[child]
-                pos[heap[i]] = i
-                i = child
-            else:
-                break
-        heap[i] = x
-        pos[x] = i
-
-    def grow(self, var: int) -> None:
-        while len(self.pos) <= var:
-            self.pos.append(-1)
-
-    def insert(self, var: int) -> None:
-        if self.pos[var] < 0:
-            self.pos[var] = len(self.heap)
-            self.heap.append(var)
-            self._up(self.pos[var])
-
-    def contains(self, var: int) -> bool:
-        return self.pos[var] >= 0
-
-    def update(self, var: int) -> None:
-        if self.pos[var] >= 0:
-            self._up(self.pos[var])
-
-    def pop(self) -> int:
-        heap, pos = self.heap, self.pos
-        top = heap[0]
-        last = heap.pop()
-        pos[top] = -1
-        if heap:
-            heap[0] = last
-            pos[last] = 0
-            self._down(0)
-        return top
-
-    def empty(self) -> bool:
-        return not self.heap
+    def pop_unassigned(self, litval: List[int]) -> int:
+        """Pop variables until one is unassigned in ``litval``; return it, or
+        0 once the heap is empty."""
+        heap, pos, activity = self.heap, self.pos, self.activity
+        while heap:
+            top = heap[0]
+            x = heap.pop()
+            pos[top] = -1
+            if heap:
+                # sift the last variable down from the root
+                ax = activity[x]
+                size = len(heap)
+                i = 0
+                while True:
+                    child = 2 * i + 1
+                    if child >= size:
+                        break
+                    y = heap[child]
+                    ay = activity[y]
+                    if child + 1 < size:
+                        z = heap[child + 1]
+                        if activity[z] > ay:
+                            child += 1
+                            y = z
+                            ay = activity[z]
+                    if ay > ax:
+                        heap[i] = y
+                        pos[y] = i
+                        i = child
+                    else:
+                        break
+                heap[i] = x
+                pos[x] = i
+            if litval[top << 1] == 0:
+                return top
+        return 0
 
 
 def _luby(i: int) -> int:
@@ -142,11 +154,12 @@ class SatSolver:
         self.litval: List[int] = [0, 0]
         # var-indexed arrays (index 0 unused)
         self.level: List[int] = [0]
-        self.reason: List[int] = [-1]
+        self.reason: List[Optional[List[int]]] = [None]  # implying clause
         self.activity: List[float] = [0.0]
         self.phase: List[int] = [0]  # saved polarity, 0 -> assign false first
         # literal-code-indexed watch lists: watches[code] holds (clause, blocker)
-        # pairs to visit when literal `code` becomes false
+        # pairs to visit when literal `code` becomes false; the clause is the
+        # list in `clauses` itself
         self.watches: List[List] = [[], []]
         self.clauses: List[List[int]] = []
         self.learnt_idxs: List[int] = []
@@ -179,208 +192,200 @@ class SatSolver:
     def new_var(self) -> int:
         var = len(self.level)
         self.level.append(0)
-        self.reason.append(-1)
+        self.reason.append(None)
         self.activity.append(0.0)
         self.phase.append(0)
         self.litval.append(0)
         self.litval.append(0)
         self.watches.append([])
         self.watches.append([])
-        self.order.grow(var)
-        self.order.insert(var)
+        self.order.pos.append(-1)
+        self.order.insert((var << 1,))
         return var
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause of signed literals.  An empty clause makes the formula unsat."""
-        self._cancel_until(0)
+        if self.trail_lim:
+            self._cancel_until(0)
         if not self.ok:
             return
-        codes = []
-        seen = {}
+        num_vars = len(self.level) - 1
+        seen = {}  # var -> its first literal code, in clause order
         tautology = False
         for lit in lits:
-            code = _to_code(lit)
+            code = lit << 1 if lit > 0 else -lit << 1 | 1
             var = code >> 1
-            if not 0 < var <= self.num_vars:
+            if not 0 < var <= num_vars:
                 raise ValueError(f"unknown variable {var}; call new_var first")
-            prev = seen.get(var)
-            if prev is None:
-                seen[var] = code
-                codes.append(code)
-            elif prev != code:
+            if seen.setdefault(var, code) != code:
                 tautology = True
         if tautology:
             return
         # root-level simplification
-        filtered = []
-        for code in codes:
-            val = self.litval[code]
-            if val == 1:
-                return  # already satisfied forever
-            if val == 0:
-                filtered.append(code)
+        litval = self.litval
+        if 1 in [litval[code] for code in seen.values()]:
+            return  # already satisfied forever
+        filtered = [code for code in seen.values() if litval[code] == 0]
         if not filtered:
             self.ok = False
             return
         if len(filtered) == 1:
-            self._unchecked_enqueue(filtered[0], -1)
-            if self._propagate() != -1:
+            self._unchecked_enqueue(filtered[0], None)
+            if self._propagate() is not None:
                 self.ok = False
             return
         self._attach(filtered, learnt=False)
 
-    def _attach(self, codes: List[int], learnt: bool) -> int:
+    def _attach(self, codes: List[int], learnt: bool) -> None:
         idx = len(self.clauses)
         self.clauses.append(codes)
-        self.watches[codes[0]].append((idx, codes[1]))
-        self.watches[codes[1]].append((idx, codes[0]))
+        self.watches[codes[0]].append((codes, codes[1]))
+        self.watches[codes[1]].append((codes, codes[0]))
         if learnt:
             self.learnt_idxs.append(idx)
         else:
             self.num_original_clauses += 1
-        return idx
 
     # ------------------------------------------------------------------
     # assignment / propagation
 
-    def _unchecked_enqueue(self, code: int, reason_idx: int) -> None:
+    def _unchecked_enqueue(self, code: int, reason: Optional[List[int]]) -> None:
         var = code >> 1
         self.litval[code] = 1
         self.litval[code ^ 1] = -1
         self.level[var] = len(self.trail_lim)
-        self.reason[var] = reason_idx
+        self.reason[var] = reason
         self.trail.append(code)
 
-    def _propagate(self) -> int:
+    def _propagate(self) -> Optional[List[int]]:
+        """Propagate the trail from ``qhead``; return a conflict clause or None."""
         litval = self.litval
-        clauses = self.clauses
         watches = self.watches
         trail = self.trail
-        confl = -1
-        props = 0
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            props += 1
-            fl = p ^ 1  # literal that just became false
+        level = self.level
+        reason = self.reason
+        push = trail.append
+        current = len(self.trail_lim)
+        qhead = start = self.qhead
+        confl = None
+        while qhead < len(trail):
+            fl = trail[qhead] ^ 1  # literal that just became false
+            qhead += 1
             ws = watches[fl]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                entry = ws[i]
-                i += 1
-                if litval[entry[1]] == 1:
+            j = 0
+            visit = iter(ws)
+            for entry in visit:
+                cl, first = entry
+                fval = litval[first]
+                if fval == 1:
                     ws[j] = entry
                     j += 1
                     continue
-                idx = entry[0]
-                cl = clauses[idx]
                 if cl[0] == fl:
                     cl[0] = cl[1]
                     cl[1] = fl
-                first = cl[0]
-                fval = litval[first]
-                if fval == 1:
-                    ws[j] = (idx, first)
-                    j += 1
-                    continue
-                found = False
-                for k in range(2, len(cl)):
-                    lk = cl[k]
-                    if litval[lk] != -1:
-                        cl[1] = lk
-                        cl[k] = fl
-                        watches[lk].append((idx, first))
-                        found = True
-                        break
-                if found:
-                    continue
-                ws[j] = (idx, first)
+                if len(cl) > 2:  # a binary clause's blocker is its other literal
+                    if cl[0] != first:
+                        first = cl[0]
+                        entry = (cl, first)
+                        fval = litval[first]
+                        if fval == 1:
+                            ws[j] = entry
+                            j += 1
+                            continue
+                    for k in range(2, len(cl)):
+                        lk = cl[k]
+                        if litval[lk] != -1:
+                            cl[1] = lk
+                            cl[k] = fl
+                            watches[lk].append(entry)
+                            break
+                    if cl[1] != fl:
+                        continue  # the watch moved to cl[1]
+                ws[j] = entry
                 j += 1
                 if fval == -1:
-                    # conflict: keep remaining watchers, stop
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    self.qhead = len(trail)
-                    confl = idx
-                else:
-                    self._unchecked_enqueue(first, idx)
-            del ws[j:]
-            if confl != -1:
+                    confl = cl
+                    break
+                litval[first] = 1
+                litval[first ^ 1] = -1
+                var = first >> 1
+                level[var] = current
+                reason[var] = cl
+                push(first)
+            if confl is not None:
+                ws[j:] = list(visit)  # keep the watchers not yet visited
                 break
-        self.stats["propagations"] += props
+            del ws[j:]
+        self.stats["propagations"] += qhead - start
+        self.qhead = len(trail)
         return confl
 
     def _cancel_until(self, target: int) -> None:
         if len(self.trail_lim) <= target:
             return
+        trail = self.trail
         bound = self.trail_lim[target]
-        litval = self.litval
-        order = self.order
-        for pos in range(len(self.trail) - 1, bound - 1, -1):
-            code = self.trail[pos]
-            var = code >> 1
-            self.phase[var] = 0 if code & 1 else 1
+        litval, phase = self.litval, self.phase
+        undone = trail[bound:]
+        undone.reverse()
+        for code in undone:
+            phase[code >> 1] = (code & 1) ^ 1
             litval[code] = 0
             litval[code ^ 1] = 0
-            self.reason[var] = -1
-            if not order.contains(var):
-                order.insert(var)
-        del self.trail[bound:]
+        self.order.insert(undone)
+        del trail[bound:]
         del self.trail_lim[target:]
-        self.qhead = len(self.trail)
+        self.qhead = bound
 
     # ------------------------------------------------------------------
     # conflict analysis
 
-    def _bump_var(self, var: int) -> None:
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, len(self.activity)):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        self.order.update(var)
-
-    def _analyze(self, confl: int) -> tuple[List[int], int]:
+    def _analyze(self, confl: List[int]) -> tuple[List[int], int]:
+        level, reason, trail = self.level, self.reason, self.trail
+        activity, order = self.activity, self.order
         learnt = [0]
-        seen = bytearray(self.num_vars + 1)
+        seen = bytearray(len(level))
         counter = 0
         p = -1
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         current = len(self.trail_lim)
+        cl = confl
         while True:
-            cl = self.clauses[confl]
             for q in cl if p == -1 else cl[1:]:
                 var = q >> 1
-                if not seen[var] and self.level[var] > 0:
+                if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
-                    if self.level[var] >= current:
+                    activity[var] += self.var_inc
+                    if activity[var] > 1e100:
+                        for v in range(1, len(activity)):
+                            activity[v] *= 1e-100
+                        self.var_inc *= 1e-100
+                    order.update(var)
+                    if level[var] >= current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[idx] >> 1]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             seen[p >> 1] = 0
             counter -= 1
             if counter == 0:
                 break
-            confl = self.reason[p >> 1]
+            cl = reason[p >> 1]
         learnt[0] = p ^ 1
         # cheap clause minimization: drop literals implied by the rest
         if len(learnt) > 1:
             minimized = [learnt[0]]
             for q in learnt[1:]:
-                reason_idx = self.reason[q >> 1]
-                if reason_idx == -1:
+                cl = reason[q >> 1]
+                if cl is None:
                     minimized.append(q)
                     continue
-                if any(not seen[r >> 1] and self.level[r >> 1] > 0
-                       for r in self.clauses[reason_idx] if r != (q ^ 1)):
+                if any(not seen[r >> 1] and level[r >> 1] > 0
+                       for r in cl if r != (q ^ 1)):
                     minimized.append(q)
                 else:
                     seen[q >> 1] = 0
@@ -391,23 +396,14 @@ class SatSolver:
             # move the highest-level literal to position 1
             max_i = 1
             for i in range(2, len(learnt)):
-                if self.level[learnt[i] >> 1] > self.level[learnt[max_i] >> 1]:
+                if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt = self.level[learnt[1] >> 1]
+            bt = level[learnt[1] >> 1]
         return learnt, bt
 
     # ------------------------------------------------------------------
     # search
-
-    def _pick_branch(self) -> int:
-        order = self.order
-        litval = self.litval
-        while not order.empty():
-            var = order.pop()
-            if litval[var << 1] == 0:
-                return (var << 1) | (0 if self.phase[var] else 1)
-        return -1
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve under unit assumptions.
@@ -433,7 +429,7 @@ class SatSolver:
                 self._cancel_until(0)
                 raise SolveBudgetExceeded()
             confl = self._propagate()
-            if confl != -1:
+            if confl is not None:
                 self.stats["conflicts"] += 1
                 conflicts_left -= 1
                 if not self.trail_lim:
@@ -442,10 +438,10 @@ class SatSolver:
                 learnt, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learnt) == 1:
-                    self._unchecked_enqueue(learnt[0], -1)
+                    self._unchecked_enqueue(learnt[0], None)
                 else:
-                    idx = self._attach(learnt, learnt=True)
-                    self._unchecked_enqueue(learnt[0], idx)
+                    self._attach(learnt, learnt=True)
+                    self._unchecked_enqueue(learnt[0], learnt)
                 self.var_inc /= self.VAR_DECAY
                 continue
             if conflicts_left <= 0:
@@ -463,10 +459,10 @@ class SatSolver:
                     self._cancel_until(0)
                     return False
                 self.trail_lim.append(len(self.trail))
-                self._unchecked_enqueue(code, -1)
+                self._unchecked_enqueue(code, None)
                 continue
-            code = self._pick_branch()
-            if code == -1:
+            var = self.order.pop_unassigned(self.litval)
+            if not var:
                 self.model = self.litval[0::2]
                 self._cancel_until(0)
                 if self.check_models:
@@ -474,7 +470,7 @@ class SatSolver:
                 return True
             self.stats["decisions"] += 1
             self.trail_lim.append(len(self.trail))
-            self._unchecked_enqueue(code, -1)
+            self._unchecked_enqueue((var << 1) | (self.phase[var] ^ 1), None)
 
     # ------------------------------------------------------------------
     # results and helpers
@@ -516,7 +512,7 @@ class SatSolver:
         self._cancel_until(0)
         if not self.ok:
             return False
-        if self._propagate() != -1:
+        if self._propagate() is not None:
             self.ok = False
             return False
         return True

@@ -266,10 +266,12 @@ class TestBudget:
         assert time.monotonic() - start < 3 + 2
 
     def test_budget_bounds_eager_encoding(self):
-        # the complete-domain ladders of this instance take several seconds
-        # to build: the deadline must stop the build, not wait for it
+        # solving this instance exactly takes several times the budget
+        # (about 9 s on a 2-vCPU host): the deadline must stop the run, not
+        # wait for it; test_encode.py::TestDeadline checks that the eager
+        # ladder build itself stops at the deadline
         start = time.monotonic()
-        result = solve_exact(generate_mscp(30, 10, 2, 1), budget_s=2)
+        result = solve_exact(generate_mscp(30, 10, 3, 4), budget_s=2)
         assert result.truncated
         assert time.monotonic() - start < 3.5
 

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from mobosat.sat import SatSolver, SolveBudgetExceeded
+from mobosat.encode import Encoder, encode_instance_constraints, encode_objective
+from mobosat.mcs import SoftSet, extract_mcs
+from mobosat.sat import SatSolver, SolveBudgetExceeded, _from_code
 
 
 def brute_force_sat(num_vars, clauses, assumptions=()):
@@ -161,6 +164,82 @@ class TestDeterminism:
 
     def test_identical_histories_identical_models(self):
         assert self._run() == self._run()
+
+
+def _digest(models):
+    return hashlib.sha256(repr(models).encode()).hexdigest()[:16]
+
+
+class TestSearchIdentity:
+    """Golden values of the search itself: a change to the solver's hot paths
+    that alters a single propagation, decision or learnt clause moves them."""
+
+    @pytest.mark.parametrize("var_inc, final_var_inc", [
+        (1.0, 9.208494827774979e+30),
+        # starts near the 1e100 limit, so analysis rescales every activity
+        (1e97, 9.208494827774989e+27),
+    ], ids=["plain", "rescale"])
+    def test_incremental_random_3sat(self, var_inc, final_var_inc):
+        # near the threshold: 1390 conflicts, 8 restarts, last call unsat
+        rng = random.Random(7)
+        num_vars = 150
+        solver = make_solver(num_vars, [])
+        solver.var_inc = var_inc
+        models = []
+        for i in range(int(num_vars * 4.25)):
+            vs = rng.sample(range(1, num_vars + 1), 3)
+            solver.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+            if i % 50 == 49:
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, num_vars + 1), 2)]
+                models.append(solver.model_assignment() if solver.solve(assumptions) else None)
+        assert solver.stats == {"solve_calls": 12, "decisions": 2565, "conflicts": 1390,
+                                "propagations": 46860, "restarts": 8}
+        assert len(solver.learnt_idxs) == 1390
+        assert [m is None for m in models] == [False] * 11 + [True]
+        assert _digest(models) == "913566a1af16b378"
+        assert solver.var_inc == pytest.approx(final_var_inc, rel=1e-12)
+
+    def test_extract_mcs_enumeration(self, unconstrained_biobjective):
+        instance = unconstrained_biobjective
+        solver = SatSolver()
+        encoder = Encoder(solver)
+        encode_instance_constraints(encoder, instance)
+        ladders = [encode_objective(encoder, k, f, eager=True)
+                   for k, f in enumerate(instance.objectives)]
+        per_obj = []
+        for ladder in ladders:
+            reachable = ladder.reachable_values()
+            domain = reachable + [reachable[-1] + 1]
+            per_obj.append(tuple((d, ladder.encode_lt(d)) for d in domain))
+        softs = SoftSet(tuple(per_obj))
+        reps, models = [], []
+        while (mcs := extract_mcs(solver, softs)) is not None:
+            reps.append(mcs.representative)
+            models.append(mcs.model)
+            solver.add_clause([ladder.encode_lt(r) for ladder, r in zip(ladders, mcs.representative)])
+        assert reps == [(7, 5), (4, 10), (3, 15), (1, 22), (2, 17), (10, 1)]
+        assert [m[1:instance.num_vars + 1] for m in models] == [
+            (-1, 1, 1, 1), (-1, -1, 1, 1), (-1, -1, -1, 1),
+            (-1, -1, -1, -1), (-1, -1, 1, -1), (1, 1, 1, 1)]
+        assert solver.stats == {"solve_calls": 13, "decisions": 29, "conflicts": 13,
+                                "propagations": 510, "restarts": 0}
+        assert len(solver.learnt_idxs) == 10
+        assert _digest(models) == "72a7221f7d2cb63d"
+
+    def test_analysis_resolves_through_binary_reasons(self):
+        # under x1, the decision -x6 implies x3 by [6, 3], x4 by [4, -3] and
+        # -x5 by the ternary clause; [-4, 5] is then a binary conflict, and
+        # first-UIP analysis resolves through the binary reasons of x4 and x3
+        # (stored as [3, 6] once propagated) to learn [-3, -1]
+        solver = make_solver(6, [[6, 3], [4, -3], [-4, 5], [-1, -3, -5], [2, -6, 1]])
+        answers = []
+        for assumptions in ([1], [1, 3], [-1, 3], [5, 1]):
+            answers.append(solver.solve(assumptions) and solver.model_assignment())
+        assert answers == [(1, 0, 0, 0, 0, 1), False, (0, 1, 1, 1, 1, 1), (1, 1, 0, 1, 1, 1)]
+        assert [[_from_code(c) for c in solver.clauses[i]] for i in solver.learnt_idxs] == [[-3, -1]]
+        assert solver.stats == {"solve_calls": 4, "decisions": 6, "conflicts": 1,
+                                "propagations": 24, "restarts": 0}
 
 
 class TestExtras:
