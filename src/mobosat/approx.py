@@ -11,6 +11,7 @@ the grid, which underestimates the true value by at most a factor of
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,18 +82,6 @@ def approx_coefficients(expr: LinearExpr, ratio: Ratio) -> CoeffApproxMap:
     grid = weight_grid(min(weights), max(weights), ratio)
     rounded = []
     for coeff, lit in expr.terms:
-        i = _largest_leq(grid, coeff)
-        rounded.append((grid[i], lit))
+        rounded.append((grid[bisect.bisect_right(grid, coeff) - 1], lit))
     approx = LinearExpr(tuple(rounded), expr.constant)
     return CoeffApproxMap(grid, expr, approx)
-
-
-def _largest_leq(grid: Tuple[int, ...], value: int) -> int:
-    lo, hi = 0, len(grid) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if grid[mid] <= value:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

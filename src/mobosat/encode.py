@@ -87,13 +87,11 @@ class UnarySum:
         self.terms = sorted(terms, key=lambda t: (-t[0], abs(t[1]), t[1] < 0))
         n = len(self.terms)
         self.suffix_mask: List[int] = [0] * (n + 1)
-        self.suffix_max: List[int] = [0] * (n + 1)
         self.suffix_mask[n] = 1  # only the empty sum
         for j in range(n - 1, -1, -1):
             w = self.terms[j][0]
             mask = self.suffix_mask[j + 1]
             self.suffix_mask[j] = mask | (mask << w)
-            self.suffix_max[j] = self.suffix_max[j + 1] + w
         self._memo: Dict[Tuple[int, int], object] = {}
 
     def reachable_sums(self) -> List[int]:
@@ -113,9 +111,9 @@ class UnarySum:
     def _build(self, j: int, bound: int):
         if bound <= 0:
             return TRUE
-        if bound > self.suffix_max[j]:
-            return FALSE
         bound = _next_reachable(self.suffix_mask[j], bound)
+        if bound < 0:
+            return FALSE  # above the largest attainable suffix sum
         key = (j, bound)
         cached = self._memo.get(key)
         if cached is not None:
@@ -243,14 +241,16 @@ class ObjectiveLadder:
     Literals the solver has fixed at decision level 0 (``add_clause``
     propagates each unit it adds) are substituted into the constant before
     the sum structure is built, shrinking the encoding.  Threshold literals
-    are created lazily and idempotently; thresholds at or below the
-    attainable minimum are the constant-false literal, those above the
-    attainable maximum the constant-true literal.  An ``eager`` ladder emits
-    the totalizer at once when it is no larger than the DAG's bound.
-    ``index`` (the objective's position) is accepted but not stored.
+    are created lazily; asking again for a threshold returns the same literal
+    and emits nothing, because the sum memoizes its nodes (``UnarySum``) or
+    holds every output (``TotalizerSum``) and the encoder its constants.
+    Thresholds at or below the attainable minimum are the constant-false
+    literal, those above the attainable maximum the constant-true literal.
+    An ``eager`` ladder emits the totalizer at once when it is no larger than
+    the DAG's bound.
     """
 
-    def __init__(self, encoder: Encoder, index: int, expr: LinearExpr, eager: bool = False):
+    def __init__(self, encoder: Encoder, expr: LinearExpr, eager: bool = False):
         self.encoder = encoder
         fixed = set(encoder.solver.fixed_literals())
         constant = expr.constant
@@ -270,7 +270,6 @@ class ObjectiveLadder:
             if totalizer.clause_count <= self.sum.clause_bound:
                 totalizer.emit()
                 self.sum = totalizer
-        self._thresholds: Dict[int, int] = {}
 
     def reachable_values(self) -> List[int]:
         """Attainable objective values (over all assignments), ascending."""
@@ -280,18 +279,12 @@ class ObjectiveLadder:
         """Return the literal for ``f(x) < d``, emitting clauses on first use."""
         if d < 0:
             raise ValueError(f"threshold must be >= 0, got {d}")
-        lit = self._thresholds.get(d)
-        if lit is not None:
-            return lit
         g = self.sum.geq(d - self.constant)
         if g is TRUE:
-            lit = self.encoder.false_lit()  # sum always >= d - constant
-        elif g is FALSE:
-            lit = self.encoder.true_lit()
-        else:
-            lit = -g
-        self._thresholds[d] = lit
-        return lit
+            return self.encoder.false_lit()  # sum always >= d - constant
+        if g is FALSE:
+            return self.encoder.true_lit()
+        return -g
 
 
 def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> None:
@@ -319,8 +312,7 @@ def encode_instance_constraints(encoder: Encoder, instance: Instance) -> None:
     while solver.num_vars < instance.num_vars:
         solver.new_var()
     for constraint in instance.constraints:
-        if not constraint.trivial:
-            encode_pb_geq(encoder, constraint)
+        encode_pb_geq(encoder, constraint)
 
 
 def encode_objective(encoder: Encoder, index: int, expr: LinearExpr,
@@ -330,5 +322,6 @@ def encode_objective(encoder: Encoder, index: int, expr: LinearExpr,
     ``eager`` means the caller will request every attainable threshold; the
     ladder then builds the smaller of the totalizer and the DAG (see
     ``ObjectiveLadder``).  The default is the lazy per-threshold DAG.
+    ``index``, the objective's position, is accepted and not used.
     """
-    return ObjectiveLadder(encoder, index, expr, eager=eager)
+    return ObjectiveLadder(encoder, expr, eager=eager)

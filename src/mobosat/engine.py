@@ -40,7 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import model
 from .approx import approx_coefficients, as_ratio, compute_domain
-from .encode import Encoder, encode_instance_constraints, encode_objective
+from .encode import Encoder, ObjectiveLadder, encode_instance_constraints, encode_objective
 from .mcs import McsInvariantError, SoftSet, check_witness_bounds, extract_mcs
 from .model import (
     Instance,
@@ -135,10 +135,12 @@ _INFEASIBLE = ApproxResult((), (), None, False, True, ())
 
 @dataclass
 class PreparedObjective:
-    """One objective wired into a solver: expression, thresholds, literal lookup."""
+    """One objective wired into a solver: its expression, its soft thresholds
+    as ``(d, literal for f < d)`` pairs in ascending ``d``, and the literal
+    lookup for any ``d``."""
 
     expr: LinearExpr
-    domain: Tuple[int, ...]
+    thresholds: Tuple[Tuple[int, int], ...]
     encode_lt: Callable[[int], int]
 
 
@@ -153,11 +155,11 @@ def _assignment_from_model(values: Sequence[int], num_vars: int) -> Tuple[int, .
     return tuple(1 if values[v] == 1 else 0 for v in range(1, num_vars + 1))
 
 
-def _build_softs(prepared: Sequence[PreparedObjective]) -> SoftSet:
-    per_objective = []
-    for prep in prepared:
-        per_objective.append(tuple((d, prep.encode_lt(d)) for d in prep.domain))
-    return SoftSet(tuple(per_objective))
+def _prepare_objective(expr: LinearExpr, ladder: ObjectiveLadder,
+                       domain: Sequence[int]) -> PreparedObjective:
+    """Encode the thresholds of ``domain``, in order, on ``ladder``."""
+    return PreparedObjective(expr, tuple((d, ladder.encode_lt(d)) for d in domain),
+                             ladder.encode_lt)
 
 
 def mcs_approx(
@@ -173,7 +175,7 @@ def mcs_approx(
     objectives; lower bounds are the representative points.  Region blocks
     are guarded by ``guard`` when given (so the caller can retire them).
     """
-    softs = _build_softs(prepared)
+    softs = SoftSet(tuple(prep.thresholds for prep in prepared))
     records: List[SolutionRecord] = []
     reps: List[Point] = []
     assumptions = [guard] if guard is not None else []
@@ -221,10 +223,7 @@ def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr) -> Prepared
     past the largest; the ladder picks its encoding for that domain."""
     ladder = encode_objective(encoder, index, expr, eager=True)
     reachable = ladder.reachable_values()
-    domain = tuple(reachable) + (reachable[-1] + 1,)
-    for d in domain:
-        ladder.encode_lt(d)
-    return PreparedObjective(expr, domain, ladder.encode_lt)
+    return _prepare_objective(expr, ladder, reachable + [reachable[-1] + 1])
 
 
 @dataclass
@@ -361,12 +360,9 @@ def intre_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
 
     def prepare(ratio, records, fresh):
-        prepared: List[PreparedObjective] = []
-        for k, ladder in enumerate(ladders):
-            domain = compute_domain(instance.lower_bounds[k], instance.upper_bounds[k], ratio)
-            for d in domain:
-                ladder.encode_lt(d)
-            prepared.append(PreparedObjective(instance.objectives[k], domain, ladder.encode_lt))
+        prepared = [_prepare_objective(f, ladder,
+                                       compute_domain(f.lower_bound, f.upper_bound, ratio))
+                    for f, ladder in zip(instance.objectives, ladders)]
         for rec in fresh:
             solver.add_clause([ladder.encode_lt(rec.image[k]) for k, ladder in enumerate(ladders)])
         return _Iteration(solver, encoder, prepared, [rec.image for rec in records],
@@ -399,7 +395,7 @@ def enumerate_efficient_set(
     records: List[SolutionRecord] = []
     try:
         prepared = [_complete_ladder(encoder, k, f) for k, f in enumerate(instance.objectives)]
-        softs = _build_softs(prepared)
+        softs = SoftSet(tuple(prep.thresholds for prep in prepared))
         while True:
             mcs = extract_mcs(solver, softs)
             if mcs is None:
@@ -412,8 +408,7 @@ def enumerate_efficient_set(
             rep = mcs.representative
             dominated_lits = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]
             for q, prep in enumerate(prepared):
-                succ = prep.domain[prep.domain.index(rep[q]) + 1]
-                solver.add_clause(dominated_lits + [prep.encode_lt(succ)])
+                solver.add_clause(dominated_lits + [prep.encode_lt(mcs.successor[q])])
             solver.add_clause([
                 -(v + 1) if assignment[v] else (v + 1) for v in range(instance.num_vars)
             ])

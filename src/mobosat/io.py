@@ -80,16 +80,6 @@ def _parse_terms(tokens: List[Tuple[str, int]], line: int):
     return terms, constant
 
 
-def _tokenize(line_text: str) -> List[Tuple[str, int]]:
-    tokens = []
-    col = 0
-    for raw in line_text.split(" "):
-        if raw:
-            tokens.append((raw, col + 1))
-        col += len(raw) + 1
-    return tokens
-
-
 def parse_pbmo(text: str) -> Instance:
     """Parse a .pbmo document into a normalized instance."""
     objectives: List[LinearExpr] = []
@@ -99,7 +89,7 @@ def parse_pbmo(text: str) -> Instance:
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("*"):
             continue
-        tokens = _tokenize(" ".join(stripped.split()))
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw_line)]
         if tokens[-1][0] != ";":
             raise ParseError("statement must end with ';'", lineno, len(raw_line))
         tokens = tokens[:-1]

@@ -8,7 +8,7 @@ Everything here is an immutable value; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Tuple
 
 Point = Tuple[int, ...]
@@ -85,29 +85,17 @@ class PBConstraint:
 class Instance:
     """A multi-objective Boolean optimization instance.
 
-    ``lower_bounds[k]`` is the objective constant and ``upper_bounds[k]`` the
-    constant plus the coefficient sum (or a tighter proven bound supplied by
-    the caller).
+    Objective ``f`` takes values in ``[f.lower_bound, f.upper_bound]``: its
+    constant, and the constant plus its coefficient sum.
     """
 
     num_vars: int
     constraints: Tuple[PBConstraint, ...]
     objectives: Tuple[LinearExpr, ...]
-    lower_bounds: Tuple[int, ...] = field(default=())
-    upper_bounds: Tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if not self.objectives:
             raise ValueError("an instance needs at least one objective")
-        if not self.lower_bounds:
-            object.__setattr__(self, "lower_bounds", tuple(f.lower_bound for f in self.objectives))
-        if not self.upper_bounds:
-            object.__setattr__(self, "upper_bounds", tuple(f.upper_bound for f in self.objectives))
-        if len(self.lower_bounds) != len(self.objectives) or len(self.upper_bounds) != len(self.objectives):
-            raise ValueError("bounds must match the number of objectives")
-        for lo, hi in zip(self.lower_bounds, self.upper_bounds):
-            if not 0 <= lo <= hi:
-                raise ValueError(f"objective bounds must satisfy 0 <= {lo} <= {hi}")
         for expr in self.objectives:
             for _, lit in expr.terms:
                 if lit.var > self.num_vars:

@@ -10,7 +10,7 @@ other than assumptions.
 The solver is fully deterministic: identical call histories yield identical
 models.  Literals at the API boundary are DIMACS-style signed integers.
 
-The fast paths rely on three invariants:
+The fast paths rely on four invariants:
 
 - the literal a reason clause implies sits at ``cl[0]``: ``_propagate``
   moves the false watched literal to ``cl[1]`` before it implies ``cl[0]``,
@@ -20,7 +20,11 @@ The fast paths rely on three invariants:
   new watch in it;
 - heap ties are broken by heap layout, so any change to what enters the
   branching heap, or in which order (the order analysis bumps a clause's
-  literals included), changes the search.
+  literals included), changes the search;
+- outside ``solve`` the solver is at decision level 0: every exit of
+  ``solve`` (a model, UNSAT, a false assumption, SolveBudgetExceeded, a bad
+  assumption) happens at or cancels to level 0 first, so ``add_clause``,
+  ``propagate_root``, ``fixed_literals`` and ``to_dimacs`` never backtrack.
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ class SatSolver:
         self.watches: List[List] = [[], []]
         self.clauses: List[List[int]] = []
         self.learnt_idxs: List[int] = []
-        self.num_original_clauses = 0
+        self.num_clauses = 0  # problem clauses attached (learnt ones excluded)
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
@@ -185,10 +189,6 @@ class SatSolver:
     def num_vars(self) -> int:
         return len(self.level) - 1
 
-    @property
-    def num_clauses(self) -> int:
-        return self.num_original_clauses
-
     def new_var(self) -> int:
         var = len(self.level)
         self.level.append(0)
@@ -205,8 +205,6 @@ class SatSolver:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause of signed literals.  An empty clause makes the formula unsat."""
-        if self.trail_lim:
-            self._cancel_until(0)
         if not self.ok:
             return
         num_vars = len(self.level) - 1
@@ -244,7 +242,7 @@ class SatSolver:
         if learnt:
             self.learnt_idxs.append(idx)
         else:
-            self.num_original_clauses += 1
+            self.num_clauses += 1
 
     # ------------------------------------------------------------------
     # assignment / propagation
@@ -509,7 +507,6 @@ class SatSolver:
 
     def propagate_root(self) -> bool:
         """Run unit propagation at level 0; False means the formula is unsat."""
-        self._cancel_until(0)
         if not self.ok:
             return False
         if self._propagate() is not None:
@@ -519,19 +516,12 @@ class SatSolver:
 
     def fixed_literals(self) -> List[int]:
         """Signed literals forced at decision level 0 (call propagate_root first)."""
-        if self.trail_lim:
-            bound = self.trail_lim[0]
-        else:
-            bound = len(self.trail)
-        return [_from_code(code) for code in self.trail[:bound]]
+        return [_from_code(code) for code in self.trail]
 
     def to_dimacs(self) -> str:
         """Dump the problem clauses (not learnts) in DIMACS CNF format."""
         learnt = set(self.learnt_idxs)
-        body = []
-        if not self.trail_lim:
-            for code in self.trail:
-                body.append(f"{_from_code(code)} 0")
+        body = [f"{_from_code(code)} 0" for code in self.trail]
         for idx, cl in enumerate(self.clauses):
             if idx in learnt:
                 continue

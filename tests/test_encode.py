@@ -107,10 +107,10 @@ class TestLadder:
         ladder = encode_objective(encoder, 0, f, eager=eager)
         thresholds = [0, 2, 3, 4, 5, 7, 8]
         lits = {d: ladder.encode_lt(d) for d in thresholds}
-        # idempotent: same literal, no duplicate clauses
-        emitted = encoder.objective_clauses
+        # idempotent: same literal, no duplicate clauses or variables
+        emitted = (encoder.objective_clauses, solver.num_vars)
         assert all(ladder.encode_lt(d) == lits[d] for d in thresholds)
-        assert encoder.objective_clauses == emitted
+        assert (encoder.objective_clauses, solver.num_vars) == emitted
         for bits, s in enumerate_models(solver, 3):
             value = evaluate(f, bits)
             for d, y in lits.items():

@@ -79,6 +79,15 @@ class TestParse:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("line, column", [
+        ("  1 y2 >= 1 ;", 5),
+        ("   1    x1   >=   y ;", 19),
+    ])
+    def test_error_column_counts_raw_whitespace(self, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_pbmo(f"min: 1 x1 ;\n{line}\n")
+        assert (info.value.line, info.value.column) == (2, column)
+
     def test_objective_required(self):
         with pytest.raises(ParseError, match="objective"):
             parse_pbmo("1 x1 >= 1 ;\n")

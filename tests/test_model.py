@@ -146,8 +146,9 @@ class TestNondominatedFilter:
 
 class TestInstance:
     def test_bounds_derived(self, unconstrained_biobjective):
-        assert unconstrained_biobjective.lower_bounds == (1, 1)
-        assert unconstrained_biobjective.upper_bounds == (10, 22)
+        objectives = unconstrained_biobjective.objectives
+        assert tuple(f.lower_bound for f in objectives) == (1, 1)
+        assert tuple(f.upper_bound for f in objectives) == (10, 22)
 
     def test_feasibility(self, two_obj_triangle):
         assert satisfies(two_obj_triangle.constraints[0], (1, 1, 0))

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 
 from mobosat.encode import Encoder, encode_instance_constraints, encode_objective
+from mobosat import sat
 from mobosat.mcs import SoftSet, extract_mcs
 from mobosat.sat import SatSolver, SolveBudgetExceeded, _from_code
 
@@ -240,6 +242,53 @@ class TestSearchIdentity:
         assert [[_from_code(c) for c in solver.clauses[i]] for i in solver.learnt_idxs] == [[-3, -1]]
         assert solver.stats == {"solve_calls": 4, "decisions": 6, "conflicts": 1,
                                 "propagations": 24, "restarts": 0}
+
+
+class TestLevelZeroInvariant:
+    """Every exit of ``solve`` leaves the solver at decision level 0 with only
+    the root-level literals on the trail; ``add_clause``, ``propagate_root``,
+    ``fixed_literals`` and ``to_dimacs`` rely on it."""
+
+    @staticmethod
+    def assert_at_root(solver, fixed):
+        assert solver.trail_lim == []
+        assert set(solver.fixed_literals()) == fixed
+
+    def test_every_exit_of_solve(self, monkeypatch):
+        # root units 1 and 2; 3 implies 5; under 3 and -4, 6 and -6 collide
+        solver = make_solver(8, [[1], [-1, 2], [-3, 5], [-3, 4, 6], [-3, 4, -6], [7, 8]])
+        root = {1, 2}
+        assert solver.solve()
+        assert solver.stats["decisions"] > 0
+        self.assert_at_root(solver, root)
+        assert not solver.solve([3, -5])  # the assumption -5 is false at level 1
+        self.assert_at_root(solver, root)
+        conflicts = solver.stats["conflicts"]
+        assert not solver.solve([3, -4])  # the learnt clause refutes the assumptions
+        assert solver.stats["conflicts"] == conflicts + 1
+        self.assert_at_root(solver, root)
+        with pytest.raises(ValueError):
+            solver.solve([1, 9])
+        self.assert_at_root(solver, root)
+        # a clock that passes the deadline on its fourth reading, mid-search
+        ticks = itertools.chain([0.0] * 3, itertools.repeat(1.0))
+        monkeypatch.setattr(sat, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+        solver.deadline = 0.5
+        decisions = solver.stats["decisions"]
+        with pytest.raises(SolveBudgetExceeded):
+            solver.solve()
+        assert solver.stats["decisions"] > decisions
+        self.assert_at_root(solver, root)
+        solver.deadline = None
+        assert solver.solve()
+        self.assert_at_root(solver, root)
+
+    def test_unsat_at_root(self):
+        # deciding -1 learns the unit 1, whose propagation conflicts at level 0
+        solver = make_solver(2, [[1, 2], [1, -2], [-1, 2], [-1, -2]])
+        assert not solver.solve()
+        assert not solver.ok and solver.stats["conflicts"] == 2
+        self.assert_at_root(solver, {1, 2})
 
 
 class TestExtras:

@@ -91,7 +91,7 @@ def main() -> None:
         digest = hashlib.sha256(thunk()).hexdigest()[:16]
         totals = [sum(s.stats[c] for s in built) for c in COUNTERS]
         totals.append(sum(s.num_vars for s in built))
-        totals.append(sum(s.num_original_clauses for s in built))
+        totals.append(sum(s.num_clauses for s in built))
         totals.append(sum(len(s.learnt_idxs) for s in built))
         totals.append(sum(e.objective_clauses for e in encoders))
         print(name, digest, *totals)
