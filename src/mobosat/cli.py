@@ -13,7 +13,6 @@ variable sets the log level (DEBUG, INFO, WARNING, ...).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -157,7 +156,7 @@ def _cmd_enumerate(args) -> int:
             for rec in records
         ],
     }
-    _emit((json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode(), args.out)
+    _emit(iomod._json_bytes(payload), args.out)
     return EXIT_OK if completed else EXIT_TRUNCATED
 
 
@@ -191,7 +190,7 @@ def _cmd_oracle(args) -> int:
         "efficient_count": len(report.efficient),
         "feasible_count": report.feasible_count,
     }
-    _emit((json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode(), args.out)
+    _emit(iomod._json_bytes(payload), args.out)
     return EXIT_OK
 
 
@@ -209,7 +208,7 @@ def _cmd_evaluate(args) -> int:
         "denominators": list(report.denominators),
         "shifted": report.shifted,
     }
-    _emit((json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode(), args.out)
+    _emit(iomod._json_bytes(payload), args.out)
     return EXIT_OK
 
 

@@ -59,9 +59,6 @@ class Encoder:
             self._true_lit = var
         return self._true_lit
 
-    def false_lit(self) -> int:
-        return -self.true_lit()
-
 
 def _next_reachable(mask: int, bound: int) -> int:
     """Smallest set bit of ``mask`` at position >= bound, or -1."""
@@ -281,7 +278,7 @@ class ObjectiveLadder:
             raise ValueError(f"threshold must be >= 0, got {d}")
         g = self.sum.geq(d - self.constant)
         if g is TRUE:
-            return self.encoder.false_lit()  # sum always >= d - constant
+            return -self.encoder.true_lit()  # sum always >= d - constant
         if g is FALSE:
             return self.encoder.true_lit()
         return -g

@@ -36,12 +36,12 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import model
 from .approx import approx_coefficients, as_ratio, compute_domain
 from .encode import Encoder, ObjectiveLadder, encode_instance_constraints, encode_objective
-from .mcs import McsInvariantError, SoftSet, check_witness_bounds, extract_mcs
+from .mcs import Mcs, McsInvariantError, SoftSet, check_witness_bounds, extract_mcs
 from .model import (
     Instance,
     LinearExpr,
@@ -151,15 +151,31 @@ class McsApproxOutcome:
     completed: bool
 
 
-def _assignment_from_model(values: Sequence[int], num_vars: int) -> Tuple[int, ...]:
-    return tuple(1 if values[v] == 1 else 0 for v in range(1, num_vars + 1))
-
-
 def _prepare_objective(expr: LinearExpr, ladder: ObjectiveLadder,
                        domain: Sequence[int]) -> PreparedObjective:
     """Encode the thresholds of ``domain``, in order, on ``ladder``."""
     return PreparedObjective(expr, tuple((d, ladder.encode_lt(d)) for d in domain),
                              ladder.encode_lt)
+
+
+def _region(prepared: Sequence[PreparedObjective], point: Point) -> List[int]:
+    """The clause that blocks the region ``point`` weakly dominates: some
+    objective below its coordinate."""
+    return [prep.encode_lt(d) for prep, d in zip(prepared, point)]
+
+
+def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instance: Instance,
+               assumptions: Sequence[int], complete: bool) -> Iterator[Tuple[Mcs, SolutionRecord]]:
+    """Extract MCSs over the prepared thresholds until none is left, each with
+    the record of its checked witness: the assignment and its image under the
+    *original* objectives.  The caller blocks each MCS before asking for the
+    next; SolveBudgetExceeded passes through."""
+    softs = SoftSet(tuple(prep.thresholds for prep in prepared))
+    while (mcs := extract_mcs(solver, softs, assumptions)) is not None:
+        assignment = tuple(1 if v == 1 else 0 for v in mcs.model[1:instance.num_vars + 1])
+        check_witness_bounds(mcs, [evaluate(prep.expr, assignment) for prep in prepared],
+                             complete=complete)
+        yield mcs, SolutionRecord(assignment, model.image(instance, assignment))
 
 
 def mcs_approx(
@@ -175,33 +191,23 @@ def mcs_approx(
     objectives; lower bounds are the representative points.  Region blocks
     are guarded by ``guard`` when given (so the caller can retire them).
     """
-    softs = SoftSet(tuple(prep.thresholds for prep in prepared))
     records: List[SolutionRecord] = []
     reps: List[Point] = []
     assumptions = [guard] if guard is not None else []
-    while True:
-        try:
-            mcs = extract_mcs(solver, softs, assumptions)
-        except SolveBudgetExceeded:
-            return McsApproxOutcome(records, reps, False)
-        if mcs is None:
-            return McsApproxOutcome(records, reps, True)
-        assignment = _assignment_from_model(mcs.model, instance.num_vars)
-        approx_values = tuple(evaluate(prep.expr, assignment) for prep in prepared)
-        check_witness_bounds(mcs, approx_values, complete=complete)
-        rep = mcs.representative
-        if any(weakly_dominates(prev, rep) for prev in reps):
-            raise McsInvariantError(
-                f"representative {rep} weakly dominated by an already blocked point"
-            )
-        image = model.image(instance, assignment)
-        records.append(SolutionRecord(assignment, image))
-        reps.append(rep)
-        block = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]
-        if guard is not None:
-            block = [-guard] + block
-        solver.add_clause(block)
-        log.debug("mcs %d: rep=%s image=%s", len(reps), rep, image)
+    try:
+        for mcs, record in _witnesses(solver, prepared, instance, assumptions, complete):
+            rep = mcs.representative
+            if any(weakly_dominates(prev, rep) for prev in reps):
+                raise McsInvariantError(
+                    f"representative {rep} weakly dominated by an already blocked point"
+                )
+            records.append(record)
+            reps.append(rep)
+            solver.add_clause([-a for a in assumptions] + _region(prepared, rep))
+            log.debug("mcs %d: rep=%s image=%s", len(reps), rep, record.image)
+    except SolveBudgetExceeded:
+        return McsApproxOutcome(records, reps, False)
+    return McsApproxOutcome(records, reps, True)
 
 
 def _constrained_solver(instance: Instance,
@@ -334,7 +340,7 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
         seeds: List[Point] = []
         for rec in records:
             z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
-            solver.add_clause([prep.encode_lt(z[k]) for k, prep in enumerate(prepared)])
+            solver.add_clause(_region(prepared, z))
             seeds.append(z)
         return _Iteration(solver, encoder, prepared, seeds, shared=False, complete=True,
                           proves_exact=lambda outcome: exact)
@@ -364,7 +370,7 @@ def intre_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
                                        compute_domain(f.lower_bound, f.upper_bound, ratio))
                     for f, ladder in zip(instance.objectives, ladders)]
         for rec in fresh:
-            solver.add_clause([ladder.encode_lt(rec.image[k]) for k, ladder in enumerate(ladders)])
+            solver.add_clause(_region(prepared, rec.image))
         return _Iteration(solver, encoder, prepared, [rec.image for rec in records],
                           shared=True, complete=(ratio == 1),
                           proves_exact=lambda outcome: not outcome.records)
@@ -395,22 +401,13 @@ def enumerate_efficient_set(
     records: List[SolutionRecord] = []
     try:
         prepared = [_complete_ladder(encoder, k, f) for k, f in enumerate(instance.objectives)]
-        softs = SoftSet(tuple(prep.thresholds for prep in prepared))
-        while True:
-            mcs = extract_mcs(solver, softs)
-            if mcs is None:
-                return tuple(records), True
-            assignment = _assignment_from_model(mcs.model, instance.num_vars)
-            image = model.image(instance, assignment)
-            # complete ladders on the original objectives: image == representative
-            check_witness_bounds(mcs, image, complete=True)
-            records.append(SolutionRecord(assignment, image))
-            rep = mcs.representative
-            dominated_lits = [prep.encode_lt(rep[k]) for k, prep in enumerate(prepared)]
-            for q, prep in enumerate(prepared):
-                solver.add_clause(dominated_lits + [prep.encode_lt(mcs.successor[q])])
-            solver.add_clause([
-                -(v + 1) if assignment[v] else (v + 1) for v in range(instance.num_vars)
-            ])
+        # complete ladders on the original objectives: image == representative
+        for mcs, record in _witnesses(solver, prepared, instance, (), complete=True):
+            records.append(record)
+            dominated_lits = _region(prepared, mcs.representative)
+            for prep, succ in zip(prepared, mcs.successor):
+                solver.add_clause(dominated_lits + [prep.encode_lt(succ)])
+            solver.add_clause([-(v + 1) if a else v + 1 for v, a in enumerate(record.assignment)])
     except SolveBudgetExceeded:
         return tuple(records), False
+    return tuple(records), True

@@ -246,6 +246,11 @@ TRACE_CSV_COLUMNS = [
 ]
 
 
+def _json_bytes(payload: dict) -> bytes:
+    """``payload`` as compact key-sorted JSON plus a newline: the same bytes on every run."""
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 def write_result(result: ApproxResult, format: str = "json") -> bytes:
     """Serialize a result: deterministic JSON, or a flat per-iteration CSV.
 
@@ -253,8 +258,7 @@ def write_result(result: ApproxResult, format: str = "json") -> bytes:
     byte-stable across runs; the JSON is.
     """
     if format == "json":
-        text = json.dumps(result_to_dict(result), sort_keys=True, separators=(",", ":"))
-        return (text + "\n").encode("utf-8")
+        return _json_bytes(result_to_dict(result))
     if format == "csv":
         buffer = _stdio.StringIO()
         writer = csv.writer(buffer)
@@ -275,12 +279,14 @@ def write_result(result: ApproxResult, format: str = "json") -> bytes:
 
 
 def parse_point_file(text: str) -> List[Tuple[int, ...]]:
-    """Points from JSON: either a bare array of arrays or a result document."""
+    """Points from JSON: a list of nonnegative integer lists, bare or as a
+    result document's ``images``.  The indicators divide by coordinates, so
+    a negative one would give a meaningless ratio and hypervolume."""
     data = json.loads(text)
-    if isinstance(data, dict):
-        points = data.get("images")
-        if points is None:
-            raise ValueError("result document has no 'images' field")
-    else:
-        points = data
-    return [tuple(int(c) for c in q) for q in points]
+    points = data.get("images") if isinstance(data, dict) else data
+    # type(c) is int: JSON true/false are not coordinates
+    if not isinstance(points, list) or not all(
+            isinstance(q, list) and all(type(c) is int and c >= 0 for c in q) for q in points):
+        raise ValueError("points must be a list of nonnegative integer lists, "
+                         "bare or under 'images'")
+    return [tuple(q) for q in points]

@@ -1,17 +1,18 @@
-"""Minimal correction subset extraction over unit soft clauses.
+"""Minimal correction subset extraction with one clause-D loop.
 
-The extractor implements the "clause D" strategy: take any model of the
+``extract_mcs`` implements the "clause D" strategy: take any model of the
 hard clauses, split the soft literals into satisfied and falsified, then
 repeatedly add the disjunction of the falsified ones (guarded by a fresh
 selector so it can be retired; the solver has no deletion) and re-solve
 with the satisfied literals as assumptions.  On UNSAT the falsified set is
 a minimal correction subset and the last model is a corresponding witness.
-
-``extract_mcs`` layers the objective-threshold structure on top: soft
-literals are the unary thresholds of each objective, the falsified set per
-objective must be a downward-closed prefix, and the representative /
+Soft literals are the unary thresholds of each objective, the falsified set
+per objective must be a downward-closed prefix, and the representative /
 successor points are the largest falsified and smallest satisfied
 thresholds.
+
+``extract_mcs_literals`` adapts plain unit softs to that loop: each soft is
+one objective whose only free threshold is the soft itself.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class SoftSet:
             if thresholds != sorted(thresholds) or len(set(thresholds)) != len(thresholds):
                 raise ValueError("soft thresholds must be strictly ascending")
 
-    @property
-    def num_objectives(self) -> int:
-        return len(self.per_objective)
-
     def flat_literals(self) -> List[int]:
         return [lit for pairs in self.per_objective for _, lit in pairs]
 
@@ -55,52 +52,6 @@ class Mcs:
     representative: Point
     successor: Point
     model: Tuple[int, ...]  # solver assignment snapshot (+1/-1 per var, index 0 unused)
-
-
-def extract_mcs_literals(
-    solver: SatSolver,
-    soft_lits: Sequence[int],
-    assumptions: Sequence[int] = (),
-) -> Optional[Tuple[frozenset, Tuple[int, ...]]]:
-    """One MCS of (hard clauses, unit softs), or None when the hard part is unsat.
-
-    Returns the falsified soft indices and a witness model satisfying the
-    hard clauses plus every soft outside the MCS.  The empty set is returned
-    when hard and softs are jointly satisfiable.
-    """
-    base = list(assumptions)
-    if not solver.solve(base):
-        return None
-    model = solver.model
-    satisfied = []
-    undone = []
-    for i, lit in enumerate(soft_lits):
-        val = model[abs(lit)]
-        if (val == 1) == (lit > 0):
-            satisfied.append(i)
-        else:
-            undone.append(i)
-    witness = tuple(model)
-    while undone:
-        selector = solver.new_var()
-        solver.add_clause([-selector] + [soft_lits[i] for i in undone])
-        sat = solver.solve(base + [selector] + [soft_lits[i] for i in satisfied])
-        solver.add_clause([-selector])
-        if not sat:
-            break
-        model = solver.model
-        witness = tuple(model)
-        still = []
-        for i in undone:
-            lit = soft_lits[i]
-            if (model[abs(lit)] == 1) == (lit > 0):
-                satisfied.append(i)
-            else:
-                still.append(i)
-        if len(still) == len(undone):
-            raise McsInvariantError("clause-D round made no progress")
-        undone = still
-    return frozenset(undone), witness
 
 
 def _threshold_cuts(model: Sequence[int], softs: SoftSet) -> List[int]:
@@ -178,6 +129,29 @@ def extract_mcs(
     rep = tuple(pairs[cut - 1][0] for pairs, cut in zip(pairs_by_obj, cuts))
     succ = tuple(pairs[cut][0] for pairs, cut in zip(pairs_by_obj, cuts))
     return Mcs(falsified, rep, succ, witness)
+
+
+def extract_mcs_literals(
+    solver: SatSolver,
+    soft_lits: Sequence[int],
+    assumptions: Sequence[int] = (),
+) -> Optional[Tuple[frozenset, Tuple[int, ...]]]:
+    """One MCS of (hard clauses, unit softs), or None when the hard part is unsat.
+
+    Returns the falsified soft indices and a witness model satisfying the
+    hard clauses plus every soft outside the MCS.  The empty set is returned
+    when hard and softs are jointly satisfiable.  Each soft ``s`` runs through
+    ``extract_mcs`` as the one-objective ladder ``(0, -t), (1, s), (2, t)``
+    over a fresh root-true ``t``: its representative is 1 exactly when ``s``
+    is falsified.
+    """
+    t = solver.new_var()
+    solver.add_clause([t])
+    mcs = extract_mcs(solver, SoftSet(tuple(((0, -t), (1, s), (2, t)) for s in soft_lits)),
+                      assumptions)
+    if mcs is None:
+        return None
+    return frozenset(i for i, r in enumerate(mcs.representative) if r), mcs.model
 
 
 def check_witness_bounds(mcs: Mcs, values: Sequence[int], complete: bool = False) -> None:

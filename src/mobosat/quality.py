@@ -18,9 +18,8 @@ RatPoint = Tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Indicator values for a point set against a lower-bound / reference set."""
+    """Indicator values for a point set against a reference set."""
 
-    epsilon_vs_lower_bound: Optional[Fraction]
     epsilon_vs_reference: Optional[Fraction]
     hypervolume: Optional[Fraction]
     denominators: Tuple[int, ...]
@@ -163,28 +162,21 @@ def hypervolume_inclusion_exclusion(points: Sequence[Sequence[Fraction]],
 
 
 def make_report(a_points: Sequence[Sequence[int]],
-                lower_bounds: Optional[Sequence[Sequence[int]]] = None,
                 reference: Optional[Sequence[Sequence[int]]] = None,
                 slack: Fraction = Fraction(1)) -> IndicatorReport:
-    """Indicator report: epsilon values plus normalized hypervolume of A.
+    """Indicator report: epsilon value plus normalized hypervolume of A.
 
     Normalization denominators follow the coordinate-maximum protocol over
     every set involved; the hypervolume reference point is (1, ..., 1).
     """
     a_points = [tuple(q) for q in a_points]
     sets = [a_points]
-    eps_lb = eps_ref = None
+    eps_ref = None
     shifted = False
-    if lower_bounds:
-        lb = [tuple(q) for q in lower_bounds]
-        sets.append(lb)
-        eps_lb, s = epsilon_indicator_shifted(a_points, lb)
-        shifted = shifted or s
     if reference:
         ref = [tuple(q) for q in reference]
         sets.append(ref)
-        eps_ref, s = epsilon_indicator_shifted(a_points, ref)
-        shifted = shifted or s
+        eps_ref, shifted = epsilon_indicator_shifted(a_points, ref)
     hv = None
     if a_points:
         denoms = protocol_denominators(sets, slack)
@@ -192,4 +184,4 @@ def make_report(a_points: Sequence[Sequence[int]],
         hv = hypervolume(normalize(a_points, denoms), unit_ref)
     else:
         denoms = ()
-    return IndicatorReport(eps_lb, eps_ref, hv, denoms, shifted)
+    return IndicatorReport(eps_ref, hv, denoms, shifted)

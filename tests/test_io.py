@@ -186,3 +186,9 @@ class TestPointFiles:
     def test_rejects_unknown_shape(self):
         with pytest.raises(ValueError):
             parse_point_file('{"foo": 1}')
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '{"images": 3}', "[[1, null]]",
+                                      "[[1, true]]", '[["1", 2]]', "[[1.5, 2]]", "[[-1, 2]]"])
+    def test_rejects_malformed_points(self, text):
+        with pytest.raises(ValueError, match="list of nonnegative integer lists"):
+            parse_point_file(text)

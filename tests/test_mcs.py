@@ -55,12 +55,19 @@ class TestClauseD:
         assert mcs == frozenset()
 
     def test_witness_corresponds(self):
-        # witness satisfies hard and exactly the softs outside the MCS
-        solver = make_solver(3, EX_HARD)
-        mcs, model = extract_mcs_literals(solver, EX_SOFTS)
-        for i, soft in enumerate(EX_SOFTS):
-            value = (model[abs(soft)] == 1) == (soft > 0)
-            assert value == (i not in mcs)
+        # witness satisfies hard, the assumptions and exactly the softs outside
+        # the MCS; an empty soft list and assumptions that force one MCS pin it
+        cases = [(EX_SOFTS, [], None), ([], [], frozenset()),
+                 (EX_SOFTS, [2], frozenset({1})), (EX_SOFTS, [1, 3], frozenset({0, 2}))]
+        for softs, assumptions, expected in cases:
+            solver = make_solver(3, EX_HARD)
+            mcs, model = extract_mcs_literals(solver, softs, assumptions)
+            if expected is not None:
+                assert mcs == expected
+            assert all(model[a] == 1 for a in assumptions)
+            for i, soft in enumerate(softs):
+                value = (model[abs(soft)] == 1) == (soft > 0)
+                assert value == (i not in mcs)
 
     def test_minimality_by_direct_sat_checks(self):
         rng = random.Random(23)
@@ -143,4 +150,3 @@ class TestSoftSet:
     def test_flat_literals(self):
         softs = SoftSet((((0, 4), (2, 6)), ((0, 8),)))
         assert softs.flat_literals() == [4, 6, 8]
-        assert softs.num_objectives == 2
