@@ -1,4 +1,12 @@
-"""CNF encodings of pseudo-Boolean sums and unary objective-value ladders.
+"""Objective threshold ladders on the solver's linear sums, and CNF encodings
+of pseudo-Boolean sums.
+
+``ObjectiveLadder`` hands out threshold literals ``y(d) <-> f(x) < d`` for
+one objective.  It is a thin front end over one linear sum of the solver
+(``SatSolver.new_linear``), which propagates the thresholds natively: a
+ladder emits no clause, and creates a threshold variable on the first
+request of each attainable bound.  That is the one objective encoding; a
+sum the solver finds busy may be rebuilt over native partial sums.
 
 A ``UnarySum`` materializes, lazily and per requested bound, literals
 ``geq(b)`` meaning "the weighted sum is >= b".  Internally it is a memoized
@@ -6,56 +14,63 @@ ite-style decision DAG over the terms (largest weights first); bounds are
 canonicalized to the next attainable suffix sum, so structurally equal
 subproblems share nodes across every requested threshold.  Full equivalence
 is emitted for each node, so in every model the output literals mirror the
-sum exactly in both directions.
-
-``ObjectiveLadder`` hands out threshold literals ``y(d) <-> f(x) < d`` for
-one objective from a lazy ``UnarySum``.  An ``eager`` ladder, whose caller
-will request every attainable threshold, builds the generalized totalizer
-(``TotalizerSum``) instead when its exact clause count is at most the DAG's
-bound of 6 clauses per (term index, attainable nonzero suffix sum) node.
-A ladder reads the literals fixed at the root from its own solver.
-Pseudo-Boolean ``>=`` constraints reuse the DAG with the root asserted.
-Every clause goes through ``Encoder.add``, the one clause sink.
+sum exactly in both directions.  Pseudo-Boolean ``>=`` constraints use the
+DAG with the root asserted, through ``Encoder.add``, the one clause sink;
+``threshold_cnf`` uses it to write a linear sum's thresholds as CNF for
+``SatSolver.to_dimacs``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import Instance, LinearExpr, PBConstraint
 from .sat import SatSolver, SolveBudgetExceeded
 
 TRUE = True
 FALSE = False
+# most clauses one variable elimination may add to a dump (threshold_cnf):
+# enough to define every threshold of a sum of four small terms over the
+# terms alone
+_ELIM_GROWTH = 32
+# largest decomposition (_decompose), in threshold variables per term: on
+# criterion 8's objectives, rounded at ratio 11 they need 5 to 9, with their
+# 44 and 49 distinct weights 70 to 104
+_TREE_PER_TERM = 16
 
 
 class Encoder:
-    """Owns constant literals, the clause sink and objective clause accounting
-    for one solver."""
+    """Owns the constant-true literal and the clause sink for one solver."""
 
     def __init__(self, solver: SatSolver):
         self.solver = solver
         self._true_lit: Optional[int] = None
-        self.objective_clauses = 0
 
-    def add(self, lits: Sequence[int], objective: bool) -> None:
-        """Add one clause to the solver, counting it when ``objective``.
+    @property
+    def objective_clauses(self) -> int:
+        """Threshold literals created in the solver: what the objective
+        encoding adds, now that a ladder emits no clause (the name is that of
+        the trace field it fills)."""
+        return self.solver.num_thresholds
+
+    def add(self, lits: Sequence[int]) -> None:
+        """Add one clause to the solver.
 
         Raises SolveBudgetExceeded before the clause once the solver's
-        deadline has passed, so no build, eager or lazy, outlasts the budget.
+        deadline has passed, so no constraint encoding outlasts the budget.
         """
         solver = self.solver
         if solver.deadline is not None and time.monotonic() > solver.deadline:
             raise SolveBudgetExceeded()
         solver.add_clause(lits)
-        if objective:
-            self.objective_clauses += 1
 
     def true_lit(self) -> int:
         if self._true_lit is None:
             var = self.solver.new_var()
-            self.add([var], objective=False)
+            self.add([var])
             self._true_lit = var
         return self._true_lit
 
@@ -74,13 +89,18 @@ def _bits(mask: int) -> List[int]:
 
 
 class UnarySum:
-    """Lazy unary representation of ``sum w_j * l_j`` over Boolean literals."""
+    """Lazy unary representation of ``sum w_j * l_j`` over Boolean literals.
 
-    def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False):
+    ``new_var()`` returns a fresh variable and ``add(clause)`` takes each
+    clause the DAG emits.
+    """
+
+    def __init__(self, new_var: Callable[[], int], add: Callable[[List[int]], None],
+                 terms: Sequence[Tuple[int, int]]):
         # terms: (weight, signed literal), weights >= 1; sorted for determinism
         # and good node sharing (big weights near the root).
-        self.encoder = encoder
-        self.objective = objective
+        self.new_var = new_var
+        self.add = add
         self.terms = sorted(terms, key=lambda t: (-t[0], abs(t[1]), t[1] < 0))
         n = len(self.terms)
         self.suffix_mask: List[int] = [0] * (n + 1)
@@ -94,12 +114,6 @@ class UnarySum:
     def reachable_sums(self) -> List[int]:
         """All attainable values of the sum, ascending."""
         return _bits(self.suffix_mask[0])
-
-    @property
-    def clause_bound(self) -> int:
-        """Most clauses this DAG can emit, every threshold requested: one node
-        per (term index, attainable nonzero suffix sum), at most 6 each."""
-        return 6 * sum(m.bit_count() - 1 for m in self.suffix_mask[:-1])
 
     def geq(self, bound: int):
         """Literal equivalent to ``sum >= bound`` (or the constants True/False)."""
@@ -118,118 +132,149 @@ class UnarySum:
         weight, lit = self.terms[j]
         hi = self._build(j + 1, bound - weight)  # branch: lit true
         lo = self._build(j + 1, bound)  # branch: lit false
-        add, objective = self.encoder.add, self.objective
+        add = self.add
         if hi is TRUE and lo is FALSE:
             out = lit
         elif hi is TRUE:
             # out <-> lit | lo
-            out = self.encoder.solver.new_var()
-            add([-lit, out], objective)
-            add([-lo, out], objective)
-            add([-out, lit, lo], objective)
+            out = self.new_var()
+            add([-lit, out])
+            add([-lo, out])
+            add([-out, lit, lo])
         elif lo is FALSE:
             # out <-> lit & hi
-            out = self.encoder.solver.new_var()
-            add([-out, lit], objective)
-            add([-out, hi], objective)
-            add([-lit, -hi, out], objective)
+            out = self.new_var()
+            add([-out, lit])
+            add([-out, hi])
+            add([-lit, -hi, out])
         else:
             # out <-> (lit ? hi : lo); lo implies hi, which tightens two clauses
-            out = self.encoder.solver.new_var()
-            add([-out, -lit, hi], objective)
-            add([-out, lit, lo], objective)
-            add([out, -lit, -hi], objective)
-            add([out, lit, -lo], objective)
-            add([-out, hi], objective)
-            add([-lo, out], objective)
+            out = self.new_var()
+            add([-out, -lit, hi])
+            add([-out, lit, lo])
+            add([out, -lit, -hi])
+            add([out, lit, -lo])
+            add([-out, hi])
+            add([-lo, out])
         self._memo[key] = out
         return out
 
 
-class TotalizerSum:
-    """Eager unary representation: merge sub-sums pairwise, totalizer style.
+def threshold_cnf(num_vars: int, terms: Sequence[Tuple[int, int]],
+                  thresholds: Sequence[Tuple[int, int]]) -> Tuple[int, List[List[int]]]:
+    """CNF defining each threshold variable ``y`` of ``(b, y)`` as
+    ``sum < b`` over ``(weight, signed literal)`` terms.
 
-    Every node carries one output literal per attainable nonzero value of
-    its sub-sum, with equivalence in both directions plus the intra-node
-    ladder (``sum >= v`` implies ``sum >= v'`` for smaller v').  Terms are
-    sorted by weight so equal coefficients merge with few distinct values.
-    Building one lays out the merge tree and every node's attainable sums,
-    which give the exact ``clause_count``, and emits nothing; ``emit`` writes
-    the clauses from that tree.  The count follows the number of distinct
-    partial sums: small after coefficient rounding, large on many weights.
+    The clauses tie ``y`` to the negated ``UnarySum`` output of ``b``.  Then
+    each DAG variable, newest first, is eliminated by resolution unless that
+    adds more than ``_ELIM_GROWTH`` clauses (bounded variable elimination,
+    Een & Biere, SAT 2005).  A dump serves brute-force checks of small
+    formulas, and on a sum of a few terms this leaves the thresholds defined
+    over the terms alone; on a large sum the DAG stays.  The variables left
+    are numbered from ``num_vars + 1``.  Returns the new variable count and
+    the clauses.
     """
+    clauses: List[List[int]] = []
+    top = [num_vars]
 
-    def __init__(self, encoder: Encoder, terms: Sequence[Tuple[int, int]], objective: bool = False):
-        self.encoder = encoder
-        self.objective = objective
-        self.leaves = sorted(terms, key=lambda t: (t[0], abs(t[1]), t[1] < 0))
-        # Node i < len(leaves) is leaf i (a lone node with mask 1 if there is
-        # none); every later node merges two earlier ones, neighbours paired
-        # level by level.  A mask holds the node's attainable sums, bit 0 too.
-        self.masks = [1 | 1 << w for w, _ in self.leaves] or [1]
-        self.merges: List[Tuple[int, int]] = []
-        self.clause_count = 0
-        level = list(range(len(self.masks)))
-        while len(level) > 1:
-            paired = []
-            for a, b in zip(level[0::2], level[1::2]):
-                merged = 0
-                for v in _bits(self.masks[a]):
-                    merged |= self.masks[b] << v
-                self.merges.append((a, b))
-                self.masks.append(merged)
-                paired.append(len(self.masks) - 1)
-                self.clause_count += (2 * self.masks[a].bit_count() * self.masks[b].bit_count()
-                                      + merged.bit_count() - 4)
-            level = paired + level[2 * len(paired):]
-        self.outputs: Dict[int, int] = {}
+    def new_var() -> int:
+        top[0] += 1
+        return top[0]
 
-    def emit(self) -> None:
-        """Emit the merge tree's clauses, ``clause_count`` of them."""
-        nodes = [{w: lit} for w, lit in self.leaves] or [{}]
-        for a, b in self.merges:
-            nodes.append(self._merge(nodes[a], nodes[b], self.masks[len(nodes)]))
-        self.outputs = nodes[-1]
+    dag = UnarySum(new_var, clauses.append, terms)
+    for b, y in thresholds:
+        g = dag.geq(b)  # a literal: 0 < b <= the sum's largest value
+        clauses.append([y, g])
+        clauses.append([-y, -g])
+    return _eliminate(num_vars, top[0], clauses)
 
-    def _merge(self, a: Dict[int, int], b: Dict[int, int], mask: int) -> Dict[int, int]:
-        """Output literals ``{v: sum >= v}`` of the node merging ``a`` and ``b``,
-        whose attainable sums are ``mask``; keys ascend, as in ``a`` and ``b``."""
-        add, objective = self.encoder.add, self.objective
-        values = _bits(mask)
-        out = {v: self.encoder.solver.new_var() for v in values[1:]}
-        after = dict(zip(values, values[1:]))
-        avals, bvals = [0, *a], [0, *b]
-        for va, na in zip(avals, avals[1:] + [None]):
-            for vb, nb in zip(bvals, bvals[1:] + [None]):
-                total = va + vb
-                if total > 0:
-                    # sum_a >= va and sum_b >= vb  =>  sum >= va+vb
-                    clause = [out[total]]
-                    if va:
-                        clause.append(-a[va])
-                    if vb:
-                        clause.append(-b[vb])
-                    add(clause, objective)
-                if total in after:
-                    # sum_a <= va and sum_b <= vb  =>  sum < next value
-                    clause = [-out[after[total]]]
-                    if na is not None:
-                        clause.append(a[na])
-                    if nb is not None:
-                        clause.append(b[nb])
-                    add(clause, objective)
-        for smaller, larger in zip(values[1:], values[2:]):
-            add([-out[larger], out[smaller]], objective)
-        return out
 
-    def reachable_sums(self) -> List[int]:
-        return _bits(self.masks[-1])
+def _eliminate(keep: int, top: int, clauses: List[List[int]]) -> Tuple[int, List[List[int]]]:
+    """Eliminate the variables ``keep+1..top`` of ``clauses``, newest first,
+    each one only when its non-tautological resolvents outnumber the clauses
+    they replace by at most ``_ELIM_GROWTH``; renumber the survivors from
+    ``keep + 1``."""
+    store: Dict[int, frozenset] = {}  # clause id -> clause, ids in creation order
+    occurs: Dict[int, set] = {}
+    ids = itertools.count()
 
-    def geq(self, bound: int):
-        if bound <= 0:
-            return TRUE
-        value = _next_reachable(self.masks[-1], bound)
-        return FALSE if value < 0 else self.outputs[value]
+    def attach(clause) -> None:
+        idx = next(ids)
+        store[idx] = clause
+        for lit in clause:
+            occurs.setdefault(lit, set()).add(idx)
+
+    for cl in clauses:
+        attach(frozenset(cl))
+    survivors = []
+    for var in range(top, keep, -1):
+        pos = [store[i] for i in occurs.get(var, ())]
+        neg = [store[i] for i in occurs.get(-var, ())]
+        resolvents = set()
+        for p in pos:
+            for n in neg:
+                r = (p - {var}) | (n - {-var})
+                if not any(-lit in r for lit in r):
+                    resolvents.add(r)
+        if len(resolvents) > len(pos) + len(neg) + _ELIM_GROWTH:
+            survivors.append(var)
+            continue
+        for idx in occurs.pop(var, set()) | occurs.pop(-var, set()):
+            for lit in store.pop(idx):
+                occurs.get(lit, set()).discard(idx)
+        for r in sorted(resolvents, key=sorted):
+            attach(r)
+    rename = {var: keep + k for k, var in enumerate(sorted(survivors), start=1)}
+
+    def renamed(lit: int) -> int:
+        var = rename.get(abs(lit), abs(lit))
+        return var if lit > 0 else -var
+
+    out = [sorted((renamed(lit) for lit in cl), key=lambda l: (abs(l), l < 0))
+           for _, cl in sorted(store.items())]
+    return keep + len(survivors), out
+
+
+def _mask(terms: Sequence[Tuple[int, int]]) -> int:
+    """The attainable sums of ``terms`` as a bit mask."""
+    mask = 1
+    for w, _ in terms:
+        mask |= mask << w
+    return mask
+
+
+def _tree_size(terms: Sequence[Tuple[int, int]]) -> int:
+    """Threshold variables ``_halves`` would create for ``terms``."""
+    half = len(terms) // 2
+    return sum(_mask(part).bit_count() - 1 + _tree_size(part)
+               for part in (terms[:half], terms[half:]) if len(part) > 1)
+
+
+def _halves(solver: SatSolver, terms: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Terms with the sum of ``terms``, over the partial sums of its two halves.
+
+    A half of one term stays as it is.  A longer half becomes a linear sum
+    ``S`` of its own ``_halves``, with a threshold at each attainable value,
+    and enters as the terms ``(v - u, [S >= v])`` over its consecutive
+    attainable values ``u < v``: a native totalizer node.
+    """
+    out = []
+    half = len(terms) // 2
+    for part in (terms[:half], terms[half:]):
+        if len(part) == 1:
+            out += part
+            continue
+        node = solver.new_linear(_halves(solver, part))
+        values = _bits(_mask(part))
+        out += [(v - u, -solver.threshold(node, v)) for u, v in zip(values, values[1:])]
+    return out
+
+
+def _decompose(terms: List[Tuple[int, int]], solver: SatSolver, lin) -> None:
+    """Rebuild ``lin``, the sum of ``terms``, over partial sums (``_halves``),
+    so its explanations name partial sums, which conflict analysis can learn
+    over, in place of the terms themselves."""
+    solver.replace_terms(lin, _halves(solver, terms))
 
 
 class ObjectiveLadder:
@@ -237,19 +282,28 @@ class ObjectiveLadder:
 
     Literals the solver has fixed at decision level 0 (``add_clause``
     propagates each unit it adds) are substituted into the constant before
-    the sum structure is built, shrinking the encoding.  Threshold literals
-    are created lazily; asking again for a threshold returns the same literal
-    and emits nothing, because the sum memoizes its nodes (``UnarySum``) or
-    holds every output (``TotalizerSum``) and the encoder its constants.
-    Thresholds at or below the attainable minimum are the constant-false
-    literal, those above the attainable maximum the constant-true literal.
-    An ``eager`` ladder emits the totalizer at once when it is no larger than
-    the DAG's bound.
+    the linear sum is made, so the attainable values and the thresholds are
+    those of the remaining terms.  A threshold is canonicalized to the next
+    attainable sum and its variable created on first request; asking again
+    returns the same literal.  Thresholds at or below the attainable minimum
+    are the constant-false literal, those above the attainable maximum the
+    constant-true literal.  An ``eager`` ladder creates every attainable
+    threshold at once.  Creating a threshold past the solver's deadline
+    raises SolveBudgetExceeded.
+
+    When the sum's explanations keep feeding conflicts, the solver rebuilds
+    it over partial sums (``_decompose``, at a restart), provided these need
+    at most ``_TREE_PER_TERM`` threshold variables per term.  That holds
+    for few distinct weights, as after coarse rounding, where explanations
+    over single terms make clause learning count case by case; on the
+    covering instance of acceptance criterion 8 it cut CoRe's first
+    iteration from about 46,000 conflicts to about 11,500.
     """
 
     def __init__(self, encoder: Encoder, expr: LinearExpr, eager: bool = False):
         self.encoder = encoder
-        fixed = set(encoder.solver.fixed_literals())
+        solver = encoder.solver
+        fixed = set(solver.fixed_literals())
         constant = expr.constant
         terms: List[Tuple[int, int]] = []
         for coeff, lit in expr.terms:
@@ -261,27 +315,29 @@ class ObjectiveLadder:
             else:
                 terms.append((coeff, signed))
         self.constant = constant
-        self.sum = UnarySum(encoder, terms, objective=True)
+        self.mask = _mask(terms)
+        self.linear = solver.new_linear(terms)
+        terms.sort()  # equal weights side by side: few attainable partial sums
+        if len(terms) > 2 and _tree_size(terms) <= _TREE_PER_TERM * len(terms):
+            self.linear.on_busy = functools.partial(_decompose, terms)
         if eager:
-            totalizer = TotalizerSum(encoder, terms, objective=True)
-            if totalizer.clause_count <= self.sum.clause_bound:
-                totalizer.emit()
-                self.sum = totalizer
+            for s in _bits(self.mask)[1:]:
+                solver.threshold(self.linear, s)
 
     def reachable_values(self) -> List[int]:
         """Attainable objective values (over all assignments), ascending."""
-        return [self.constant + s for s in self.sum.reachable_sums()]
+        return [self.constant + s for s in _bits(self.mask)]
 
     def encode_lt(self, d: int) -> int:
-        """Return the literal for ``f(x) < d``, emitting clauses on first use."""
+        """Return the literal for ``f(x) < d``, creating it on first use."""
         if d < 0:
             raise ValueError(f"threshold must be >= 0, got {d}")
-        g = self.sum.geq(d - self.constant)
-        if g is TRUE:
-            return -self.encoder.true_lit()  # sum always >= d - constant
-        if g is FALSE:
-            return self.encoder.true_lit()
-        return -g
+        if d <= self.constant:
+            return -self.encoder.true_lit()  # f >= constant >= d always
+        bound = _next_reachable(self.mask, d - self.constant)
+        if bound < 0:
+            return self.encoder.true_lit()  # every attainable value is below d
+        return self.encoder.solver.threshold(self.linear, bound)
 
 
 def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> None:
@@ -292,15 +348,16 @@ def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> None:
     if bound <= 0:
         return
     if bound > total:
-        encoder.add([], objective=False)
+        encoder.add([])
     elif bound == total:
         for _, lit in terms:
-            encoder.add([lit], objective=False)
+            encoder.add([lit])
     elif bound == 1:
-        encoder.add([lit for _, lit in terms], objective=False)
+        encoder.add([lit for _, lit in terms])
     else:
         # 1 < bound < total: the DAG's root is a literal, not a constant
-        encoder.add([UnarySum(encoder, terms).geq(bound)], objective=False)
+        dag = UnarySum(encoder.solver.new_var, encoder.add, terms)
+        encoder.add([dag.geq(bound)])
 
 
 def encode_instance_constraints(encoder: Encoder, instance: Instance) -> None:
@@ -314,11 +371,10 @@ def encode_instance_constraints(encoder: Encoder, instance: Instance) -> None:
 
 def encode_objective(encoder: Encoder, index: int, expr: LinearExpr,
                      eager: bool = False) -> ObjectiveLadder:
-    """Build the unary structure for one (possibly approximate) objective.
+    """The threshold ladder of one (possibly approximate) objective.
 
     ``eager`` means the caller will request every attainable threshold; the
-    ladder then builds the smaller of the totalizer and the DAG (see
-    ``ObjectiveLadder``).  The default is the lazy per-threshold DAG.
+    ladder then creates them all at once (see ``ObjectiveLadder``).
     ``index``, the objective's position, is accepted and not used.
     """
     return ObjectiveLadder(encoder, expr, eager=eager)

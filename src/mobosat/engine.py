@@ -13,7 +13,10 @@ A driver only prepares each iteration:
   monotone, so retracting an iteration's state means starting over),
   rounds the objectives onto the ratio's weight grid and blocks the regions
   around known solutions under that rounding; an identity rounding proves
-  the front exact;
+  the front exact.  Unless the rounding is the identity, each witness is
+  then walked, under the original objectives, to a point that dominates
+  it (``_pareto_walk``), so the records do not depend on which witness an
+  MCS happens to return;
 * the interval driver encodes the original objectives once into one
   growing solver, thins the threshold domains to the ratio's grid, and
   permanently blocks the regions at the images of the previous iteration's
@@ -106,6 +109,14 @@ def update_ratio(schedule: RatioSchedule, ratio: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class IterationTrace:
+    """One iteration of a re-approximation driver.
+
+    ``objective_clauses`` counts the threshold literals created in the
+    iteration's solver, over every objective ladder, up to the end of the
+    iteration (the solver's linear sums propagate them without clauses; the
+    field keeps its name in schema 1).
+    """
+
     seq: int
     ratio: Fraction
     new_images: Tuple[Point, ...]
@@ -178,22 +189,61 @@ def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
         yield mcs, SolutionRecord(assignment, model.image(instance, assignment))
 
 
+def _pareto_walk(solver: SatSolver, ladders: Sequence[ObjectiveLadder], instance: Instance,
+                 assumptions: Sequence[int], record: SolutionRecord) -> Tuple[SolutionRecord, int]:
+    """Walk ``record`` to one whose image dominates it, one solve per step.
+
+    A step with image ``z`` asks for ``f_j < z_j + 1`` on every objective
+    and, through a selector-guarded clause, ``f_k < z_k`` on some; the
+    ``ladders`` are of the original objectives.  The walk stops at the
+    first unsatisfiable step, or at the solver's deadline, and returns the
+    last record and the number of steps that moved (the Pareto-MCS step of
+    Terra-Neves, Lynce & Manquinho, SAT 2017).
+    """
+    steps = 0
+    try:
+        while True:
+            z = record.image
+            hold = [ladder.encode_lt(zk + 1) for ladder, zk in zip(ladders, z)]
+            selector = solver.new_var()
+            solver.add_clause([-selector] + [ladder.encode_lt(zk) for ladder, zk in zip(ladders, z)])
+            try:
+                sat = solver.solve([*assumptions, selector, *hold])
+            finally:
+                solver.add_clause([-selector])
+            if not sat:
+                break
+            assignment = solver.model_assignment(instance.num_vars)
+            record = SolutionRecord(assignment, model.image(instance, assignment))
+            steps += 1
+    except SolveBudgetExceeded:
+        pass
+    return record, steps
+
+
 def mcs_approx(
     solver: SatSolver,
     prepared: Sequence[PreparedObjective],
     instance: Instance,
     guard: Optional[int] = None,
     complete: bool = False,
+    walk: Optional[Sequence[ObjectiveLadder]] = None,
 ) -> McsApproxOutcome:
     """Enumerate MCSs until exhaustion or the solver's deadline, blocking each one.
 
     Records carry the witness assignment and its image under the *original*
-    objectives; lower bounds are the representative points.  Region blocks
-    are guarded by ``guard`` when given (so the caller can retire them).
+    objectives; lower bounds are the representative points.  With ``walk``,
+    ladders of the original objectives, each witness is first walked to a
+    record that dominates it.  Region blocks are guarded by ``guard`` when
+    given (so the caller can retire them).  Each MCS logs one DEBUG line
+    with the solver work it took: solve calls, conflicts, propagations,
+    clause-D rounds and walk steps.
     """
     records: List[SolutionRecord] = []
     reps: List[Point] = []
     assumptions = [guard] if guard is not None else []
+    stats = solver.stats
+    before = dict(stats)
     try:
         for mcs, record in _witnesses(solver, prepared, instance, assumptions, complete):
             rep = mcs.representative
@@ -201,10 +251,18 @@ def mcs_approx(
                 raise McsInvariantError(
                     f"representative {rep} weakly dominated by an already blocked point"
                 )
+            steps = 0
+            if walk is not None:
+                record, steps = _pareto_walk(solver, walk, instance, assumptions, record)
             records.append(record)
             reps.append(rep)
             solver.add_clause([-a for a in assumptions] + _region(prepared, rep))
-            log.debug("mcs %d: rep=%s image=%s", len(reps), rep, record.image)
+            log.debug("mcs %d: rep=%s image=%s solves=%d conflicts=%d propagations=%d "
+                      "rounds=%d walk=%d", len(reps), rep, record.image,
+                      stats["solve_calls"] - before["solve_calls"],
+                      stats["conflicts"] - before["conflicts"],
+                      stats["propagations"] - before["propagations"], mcs.rounds, steps)
+            before = dict(stats)
     except SolveBudgetExceeded:
         return McsApproxOutcome(records, reps, False)
     return McsApproxOutcome(records, reps, True)
@@ -243,6 +301,7 @@ class _Iteration:
     shared: bool  # the solver outlives the iteration: guard its region blocks
     complete: bool  # every attainable value is a threshold
     proves_exact: Callable[[McsApproxOutcome], bool]
+    walk: Optional[List[ObjectiveLadder]] = None  # original objectives' ladders
 
 
 def _reapproximate(instance: Instance, schedule: RatioSchedule,
@@ -271,7 +330,7 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule,
             break
         guard = step.solver.new_var() if step.shared else None
         outcome = mcs_approx(step.solver, step.prepared, instance,
-                             guard=guard, complete=step.complete)
+                             guard=guard, complete=step.complete, walk=step.walk)
         if guard is not None:
             step.solver.add_clause([-guard])  # retire the iteration's region blocks
         records = nondominated_filter(records + outcome.records, key=lambda r: r.image)
@@ -317,9 +376,10 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     grid and encodes the rounded objectives, with complete threshold
     domains, into a fresh solver.  It blocks the regions weakly dominated by
     the rounded images of known solutions, which also seed its lower bounds,
-    and runs the MCS enumerator.  Stops when the rounding is the identity
-    (the front is then exact), the target ratio is warranted, or the budget
-    runs out.
+    and runs the MCS enumerator, walking each witness under lazy ladders of
+    the original objectives unless the rounding is the identity.  Stops when
+    the rounding is the identity (the front is then exact), the target ratio
+    is warranted, or the budget runs out.
     """
     deadline = _deadline(schedule.budget_s)
     base: Optional[tuple] = _constrained_solver(instance, deadline)
@@ -342,8 +402,10 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
             z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
             solver.add_clause(_region(prepared, z))
             seeds.append(z)
+        walk = None if exact else [encode_objective(encoder, k, f)
+                                   for k, f in enumerate(instance.objectives)]
         return _Iteration(solver, encoder, prepared, seeds, shared=False, complete=True,
-                          proves_exact=lambda outcome: exact)
+                          proves_exact=lambda outcome: exact, walk=walk)
 
     return _reapproximate(instance, schedule, prepare, "coeff")
 

@@ -52,6 +52,7 @@ class Mcs:
     representative: Point
     successor: Point
     model: Tuple[int, ...]  # solver assignment snapshot (+1/-1 per var, index 0 unused)
+    rounds: int  # clause-D rounds, the last (unsatisfiable) one included
 
 
 def _threshold_cuts(model: Sequence[int], softs: SoftSet) -> List[int]:
@@ -106,7 +107,9 @@ def extract_mcs(
     cuts = _threshold_cuts(model, softs)
     witness = tuple(model)
     pairs_by_obj = softs.per_objective
+    rounds = 0
     while True:
+        rounds += 1
         # disjunction of falsified softs == some largest-falsified threshold true
         improve = [pairs[cut - 1][1] for pairs, cut in zip(pairs_by_obj, cuts)]
         hold = [pairs[cut][1] for pairs, cut in zip(pairs_by_obj, cuts)]
@@ -128,7 +131,7 @@ def extract_mcs(
     )
     rep = tuple(pairs[cut - 1][0] for pairs, cut in zip(pairs_by_obj, cuts))
     succ = tuple(pairs[cut][0] for pairs, cut in zip(pairs_by_obj, cuts))
-    return Mcs(falsified, rep, succ, witness)
+    return Mcs(falsified, rep, succ, witness, rounds)
 
 
 def extract_mcs_literals(

@@ -6,14 +6,59 @@ from mobosat.model import Instance, LinearExpr, Literal, PBConstraint
 from mobosat.sat import SatSolver
 
 
+def check_explanation(lin, clause, bound=None):
+    """Reject an explanation clause that does not follow from its linear sum.
+
+    With every literal of ``clause`` false, the sum's terms and the
+    thresholds ``S < b`` named in it bound ``S`` from both sides; the clause
+    follows from ``f < d`` or ``f >= d`` exactly when those bounds cross.
+    ``bound`` maps the sum's threshold variables to their bounds.
+    """
+    if bound is None:
+        bound = dict(zip(lin.vars, lin.bounds))
+    weight = lin.weight
+    low, high, forced_true, forced_false = 0, lin.total, 0, 0
+    for code in clause:
+        var = code >> 1
+        if var in bound:  # y false: S >= b; ~y false: S < b
+            if code & 1:
+                high = min(high, bound[var] - 1)
+            else:
+                low = max(low, bound[var])
+        elif code in weight:  # a term literal false: it adds nothing
+            forced_false += weight[code]
+        elif code ^ 1 in weight:  # a term literal true: it adds its weight
+            forced_true += weight[code ^ 1]
+        else:
+            raise AssertionError(f"explanation {clause} names a literal outside its sum")
+    if max(low, forced_true) <= min(high, lin.total - forced_false):
+        raise AssertionError(f"explanation {clause} does not follow from its sum")
+
+
+class ExplanationChecker:
+    """``check_explanation`` for one solver's sums, with each sum's map of
+    threshold variables to bounds kept until the sum gains a threshold."""
+
+    def __init__(self):
+        self.maps = {}  # id(sum) -> (sum, map)
+
+    def __call__(self, lin, clause):
+        entry = self.maps.get(id(lin))
+        if entry is None or len(entry[1]) != len(lin.vars):
+            entry = self.maps[id(lin)] = (lin, dict(zip(lin.vars, lin.bounds)))
+        check_explanation(lin, clause, entry[1])
+
+
 @pytest.fixture(autouse=True)
 def check_every_model(monkeypatch):
     """Every solver a test builds checks each model it returns against its
-    problem clauses and assumptions."""
+    problem clauses, thresholds and assumptions, and each explanation clause
+    of its linear sums with ``check_explanation``."""
     init = SatSolver.__init__
 
     def checking_init(self, check_models=True):
         init(self, check_models=True)
+        self.explain_hook = ExplanationChecker()
 
     monkeypatch.setattr(SatSolver, "__init__", checking_init)
 

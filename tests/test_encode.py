@@ -6,7 +6,6 @@ import pytest
 
 from mobosat.encode import (
     Encoder,
-    TotalizerSum,
     UnarySum,
     encode_instance_constraints,
     encode_objective,
@@ -178,8 +177,41 @@ class TestLadder:
             assert s.model_value(y5) == (value < 5)
 
 
+class TestDecomposition:
+    """A busy ladder's sum rebuilt over partial sums means the same."""
+
+    @pytest.mark.parametrize("weights", [[1] * 7, [2, 2, 2, 22, 22, 22, 22, 22], [5, 1, 3, 2]])
+    def test_decomposed_thresholds_exhaustive(self, weights):
+        n = len(weights)
+        f = LinearExpr(tuple((w, Literal(v + 1, v % 3 == 0)) for v, w in enumerate(weights)), 2)
+        solver, encoder = fresh(n)
+        ladder = encode_objective(encoder, 0, f, eager=True)
+        busy = ladder.linear.on_busy
+        assert busy is not None
+        busy(solver, ladder.linear)
+        assert len(solver.linears) > 1  # the partial sums
+        reachable = ladder.reachable_values()
+        lits = {d: ladder.encode_lt(d) for d in range(reachable[-1] + 2)}
+        for bits, s in enumerate_models(solver, n):
+            value = evaluate(f, bits)
+            for d, y in lits.items():
+                assert s.model_value(y) == (value < d), (bits, d)
+
+    def test_many_distinct_weights_not_decomposed(self):
+        # 60 terms with 44 distinct weights: partial sums would need about
+        # 100 threshold variables per term
+        f = generate_mscp(60, 20, 3, 2).objectives[1]
+        solver, encoder = fresh(60)
+        assert encode_objective(encoder, 0, f).linear.on_busy is None
+        rounded = approx_coefficients(f, 11).approx  # two distinct weights
+        assert encode_objective(encoder, 0, rounded).linear.on_busy is not None
+
+
 class TestClauseCounting:
     def test_objective_clauses_counted_separately(self, ladder_example):
+        # constraints emit clauses and no threshold; a ladder emits no clause
+        # and the count is of its threshold literals, one per attainable
+        # value above the minimum
         solver, encoder = fresh(3)
         before = solver.num_clauses
         encode_instance_constraints(encoder, ladder_example)
@@ -189,51 +221,60 @@ class TestClauseCounting:
         ladder = encode_objective(encoder, 0, ladder_example.objectives[0])
         for d in ladder.reachable_values():
             ladder.encode_lt(d)
-        assert encoder.objective_clauses == solver.num_clauses - before > 0
+        assert solver.num_clauses == before
+        assert encoder.objective_clauses == len(ladder.reachable_values()) - 1 == 5
 
 
 class TestDeadline:
-    """Past the solver's deadline, an encoder raises before emitting a clause."""
+    """Past the solver's deadline, an encoder raises before emitting a clause
+    and a ladder before creating a threshold variable."""
 
     def expired(self, ladder_example):
         solver, encoder = fresh(3)
         encode_instance_constraints(encoder, ladder_example)
+        encoder.true_lit()
         solver.deadline = time.monotonic() - 1
-        return solver, encoder, solver.num_clauses
+        return solver, encoder, (solver.num_clauses, solver.num_vars)
 
     def test_eager_build_raises(self, ladder_example):
-        solver, encoder, clauses = self.expired(ladder_example)
+        solver, encoder, sizes = self.expired(ladder_example)
         with pytest.raises(SolveBudgetExceeded):
             encode_objective(encoder, 0, ladder_example.objectives[0], eager=True)
         assert encoder.objective_clauses == 0
-        assert solver.num_clauses == clauses
+        assert (solver.num_clauses, solver.num_vars) == sizes
 
     def test_lazy_threshold_raises(self, ladder_example):
-        solver, encoder, clauses = self.expired(ladder_example)
+        solver, encoder, sizes = self.expired(ladder_example)
         ladder = encode_objective(encoder, 0, ladder_example.objectives[0])
+        assert ladder.encode_lt(0) == -encoder.true_lit()  # a constant: nothing to create
         with pytest.raises(SolveBudgetExceeded):
             ladder.encode_lt(5)
         assert encoder.objective_clauses == 0
-        assert solver.num_clauses == clauses
+        assert (solver.num_clauses, solver.num_vars) == sizes
 
     def test_constraint_clause_raises(self, ladder_example):
-        solver, encoder, clauses = self.expired(ladder_example)
+        solver, encoder, (clauses, _) = self.expired(ladder_example)
         with pytest.raises(SolveBudgetExceeded):
             encode_pb_geq(encoder, PBConstraint(LinearExpr(((1, lit(1)), (1, nlit(3)))), 1))
         assert solver.num_clauses == clauses
 
 
+def sink(num_vars):
+    """``new_var`` and ``add`` for a ``UnarySum`` that writes into a list."""
+    clauses = []
+    top = itertools.count(num_vars + 1)
+    return (lambda: next(top)), clauses.append, clauses
+
+
 class TestSumStructures:
-    @pytest.mark.parametrize("cls", [UnarySum, TotalizerSum])
+    @pytest.mark.parametrize("cls", [UnarySum])
     def test_random_geq_semantics(self, cls):
         rng = random.Random(29)
         for _ in range(20):
             n = rng.randint(1, 6)
             terms = [(rng.randint(1, 7), (v + 1) * rng.choice((1, -1))) for v in range(n)]
             solver, encoder = fresh(n)
-            s = cls(encoder, terms, objective=True)
-            if cls is TotalizerSum:
-                s.emit()
+            s = cls(solver.new_var, encoder.add, terms)
             bound_lits = {}
             for v in s.reachable_sums():
                 if v > 0:
@@ -262,71 +303,43 @@ def signed_terms(weights, rng):
 
 
 class TestEncodingRule:
-    """An eager ladder builds the totalizer when its exact clause count is at
-    most the DAG's bound, and the DAG otherwise."""
+    """The DAG that encodes pseudo-Boolean constraints and writes the dump:
+    its size bound, and the thresholds it defines in ``SatSolver.to_dimacs``."""
 
     W13 = [34, 23, 14, 22, 11, 27, 29, 11, 26, 24, 24, 20, 17]
 
-    def test_totalizer_count_is_exact(self):
-        rng = random.Random(41)
-        for name, weights in random_weight_vectors(41):
-            solver, encoder = fresh(len(weights))
-            totalizer = TotalizerSum(encoder, signed_terms(weights, rng), objective=True)
-            assert encoder.objective_clauses == 0
-            totalizer.emit()
-            assert encoder.objective_clauses == totalizer.clause_count, (name, weights)
-
     def test_dag_within_bound_with_every_threshold(self):
+        # one node per (term index, attainable nonzero suffix sum), at most 6
+        # clauses each
         rng = random.Random(43)
         for name, weights in random_weight_vectors(43):
-            solver, encoder = fresh(len(weights))
-            dag = UnarySum(encoder, signed_terms(weights, rng), objective=True)
+            new_var, add, clauses = sink(len(weights))
+            dag = UnarySum(new_var, add, signed_terms(weights, rng))
             for v in dag.reachable_sums():
                 dag.geq(v)
-            assert encoder.objective_clauses <= dag.clause_bound, (name, weights)
+            bound = 6 * sum(m.bit_count() - 1 for m in dag.suffix_mask[:-1])
+            assert len(clauses) <= bound, (name, weights)
 
-    def test_eager_ladder_never_above_totalizer(self):
-        rng = random.Random(47)
-        for name, weights in random_weight_vectors(47):
-            terms = signed_terms(weights, rng)
-            solver, encoder = fresh(len(weights))
-            totalizer_count = TotalizerSum(encoder, terms).clause_count
-            f = LinearExpr(tuple((w, Literal(abs(l), l < 0)) for w, l in terms))
-            ladder = encode_objective(encoder, 0, f, eager=True)
-            for d in ladder.reachable_values():
-                ladder.encode_lt(d)
-            assert encoder.objective_clauses <= totalizer_count, (name, weights)
-
-    def complete(self, f):
-        instance_vars = max((l.var for _, l in f.terms), default=0)
-        solver, encoder = fresh(instance_vars)
+    def test_dag_threshold_semantics_sampled(self):
+        # the dump of a complete 13-term ladder keeps DAG variables; loaded
+        # into a fresh solver, its thresholds mirror the objective's value
+        f = LinearExpr(tuple((w, lit(v + 1)) for v, w in enumerate(self.W13)), 3)
+        solver, encoder = fresh(len(self.W13))
         ladder = encode_objective(encoder, 0, f, eager=True)
         reachable = ladder.reachable_values()
         lits = {d: ladder.encode_lt(d) for d in reachable + [reachable[-1] + 1]}
-        terms = [(c, l.to_signed()) for c, l in f.terms]
-        return solver, ladder, lits, TotalizerSum(Encoder(SatSolver()), terms).clause_count
-
-    def test_many_distinct_weights_pick_the_dag(self):
-        f = generate_mscp(16, 6, 3, 3).objectives[1]
-        _, ladder, _, totalizer_count = self.complete(f)
-        assert isinstance(ladder.sum, UnarySum)
-        assert ladder.encoder.objective_clauses <= totalizer_count
-
-    def test_rounded_weights_pick_the_totalizer(self):
-        f = approx_coefficients(generate_mscp(16, 6, 3, 3).objectives[1], 11).approx
-        _, ladder, _, totalizer_count = self.complete(f)
-        assert isinstance(ladder.sum, TotalizerSum)
-        assert ladder.encoder.objective_clauses == totalizer_count
-
-    def test_dag_threshold_semantics_sampled(self):
-        f = LinearExpr(tuple((w, lit(v + 1)) for v, w in enumerate(self.W13)), 3)
-        solver, ladder, lits, totalizer_count = self.complete(f)
-        assert isinstance(ladder.sum, UnarySum)
-        assert (totalizer_count, ladder.sum.clause_bound) == (6912, 6816)
+        lines = solver.to_dimacs().strip().splitlines()
+        num_vars = int(lines[0].split()[2])
+        assert num_vars > solver.num_vars
+        dumped = SatSolver()
+        for _ in range(num_vars):
+            dumped.new_var()
+        for line in lines[1:]:
+            dumped.add_clause([int(tok) for tok in line.split()[:-1]])
         rng = random.Random(53)
         for _ in range(40):
             bits = tuple(rng.randint(0, 1) for _ in self.W13)
-            assert solver.solve([v + 1 if b else -(v + 1) for v, b in enumerate(bits)])
+            assert dumped.solve([v + 1 if b else -(v + 1) for v, b in enumerate(bits)])
             value = evaluate(f, bits)
             for d, y in lits.items():
-                assert solver.model_value(y) == (value < d), (bits, d)
+                assert dumped.model_value(y) == (value < d), (bits, d)

@@ -1,13 +1,18 @@
 import dataclasses
+import logging
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 from mobosat import engine
+from mobosat.encode import encode_objective
 from mobosat.engine import (
     RatioSchedule,
+    _constrained_solver,
+    _pareto_walk,
     core_solve,
     enumerate_efficient_set,
     intre_solve,
@@ -21,6 +26,7 @@ from mobosat.model import (
     LinearExpr,
     Literal,
     PBConstraint,
+    SolutionRecord,
     image,
     is_feasible,
     nondominated_filter,
@@ -155,16 +161,76 @@ class TestCoefficientDriver:
             (1, 17), (2, 13), (4, 9), (6, 5), (8, 1)]
 
     def test_per_iteration_sizes_on_covering_instance(self):
-        # objective 1 rounds to itself at every ratio, so three of the eight
-        # ladders repeat one built in an earlier iteration's solver; at 11/10
-        # and 101/100 objective 2 keeps many distinct weights and gets the DAG
+        # each iteration's solver creates one threshold literal per attainable
+        # value above the minimum of each rounded objective: objective 1
+        # rounds to itself at every ratio (20 such values), objective 2 keeps
+        # more distinct weights as the ratio falls; walking the one MCS found
+        # at ratios 11 and 2 asks for 4 thresholds of the original objectives
         result = core_solve(generate_mscp(20, 6, 2, seed=5),
                             RatioSchedule(start=11, divisor=10))
         assert [(t.ratio, t.objective_clauses, t.mcs_count) for t in result.trace] == [
-            (11, 1890, 1), (2, 3179, 1), (Fraction(11, 10), 26581, 0),
-            (Fraction(101, 100), 27241, 0)]
+            (11, 20 + 56 + 4, 1), (2, 20 + 155 + 4, 1), (Fraction(11, 10), 20 + 779, 0),
+            (Fraction(101, 100), 20 + 802, 0)]
         assert result.warranted_ratio == 1
         assert len(result.records) == 1
+
+
+FRONT = [(1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]
+
+
+class TestParetoWalk:
+    def test_walk_reaches_a_dominating_front_point(self, unconstrained_biobjective):
+        instance = unconstrained_biobjective
+        solver, encoder = _constrained_solver(instance, None)
+        ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
+        start = SolutionRecord((1, 0, 0, 0), image(instance, (1, 0, 0, 0)))
+        assert start.image == (4, 18)
+        walked, steps = _pareto_walk(solver, ladders, instance, (), start)
+        assert steps >= 1
+        assert walked.image in FRONT and weakly_dominates(walked.image, start.image)
+        assert walked.image == image(instance, walked.assignment)
+        # from a front point the first step is unsatisfiable
+        assert _pareto_walk(solver, ladders, instance, (), walked) == (walked, 0)
+
+    def test_walk_stops_at_the_deadline(self, unconstrained_biobjective):
+        instance = unconstrained_biobjective
+        solver, encoder = _constrained_solver(instance, time.monotonic() - 1)
+        ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
+        start = SolutionRecord((1, 0, 0, 0), (4, 18))
+        assert _pareto_walk(solver, ladders, instance, (), start) == (start, 0)
+
+    def test_coefficient_records_are_walked(self, unconstrained_biobjective):
+        result = core_solve(unconstrained_biobjective, schedule(4, divisor=3, target=2))
+        assert set(result.images) <= set(FRONT)
+
+
+class TestMcsLog:
+    LINE = re.compile(r"mcs (\d+): rep=\(.*\) image=\(.*\) solves=(\d+) conflicts=(\d+) "
+                      r"propagations=(\d+) rounds=(\d+) walk=(\d+)$")
+
+    def lines(self, caplog):
+        return [self.LINE.match(r.getMessage()) for r in caplog.records
+                if r.getMessage().startswith("mcs ")]
+
+    def test_one_debug_line_per_mcs(self, unconstrained_biobjective, caplog):
+        caplog.set_level(logging.DEBUG, logger="mobosat.engine")
+        result = core_solve(unconstrained_biobjective, schedule(4, divisor=3, target=2))
+        lines = self.lines(caplog)
+        assert all(lines) and len(lines) == sum(t.mcs_count for t in result.trace)
+        for match in lines:
+            solves, conflicts, propagations, rounds, walk = map(int, match.groups()[1:])
+            # the first solve, the clause-D rounds, the walk's steps and its
+            # last, unsatisfiable step
+            assert solves == 1 + rounds + walk + 1
+            assert propagations > 0
+
+    def test_no_walk_on_exact_objectives(self, unconstrained_biobjective, caplog):
+        caplog.set_level(logging.DEBUG, logger="mobosat.engine")
+        result = solve_exact(unconstrained_biobjective)
+        lines = self.lines(caplog)
+        assert len(lines) == len(result.records) == 6
+        assert all(int(match.group(6)) == 0 for match in lines)  # walk steps
+        assert all(int(match.group(2)) == 1 + int(match.group(5)) for match in lines)
 
 
 class TestEfficientSet:
@@ -266,12 +332,12 @@ class TestBudget:
         assert time.monotonic() - start < 3 + 2
 
     def test_budget_bounds_eager_encoding(self):
-        # solving this instance exactly takes several times the budget
-        # (about 9 s on a 2-vCPU host): the deadline must stop the run, not
-        # wait for it; test_encode.py::TestDeadline checks that the eager
-        # ladder build itself stops at the deadline
+        # solving this instance exactly takes many times the budget (7 of its
+        # 25 front points in 20 s on a 2-vCPU host): the deadline must stop
+        # the run, not wait for it; test_encode.py::TestDeadline checks that
+        # the eager ladder build itself stops at the deadline
         start = time.monotonic()
-        result = solve_exact(generate_mscp(30, 10, 3, 4), budget_s=2)
+        result = solve_exact(generate_mscp(60, 20, 3, 2), budget_s=2)
         assert result.truncated
         assert time.monotonic() - start < 3.5
 

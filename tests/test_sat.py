@@ -220,14 +220,16 @@ class TestSearchIdentity:
             reps.append(mcs.representative)
             models.append(mcs.model)
             solver.add_clause([ladder.encode_lt(r) for ladder, r in zip(ladders, mcs.representative)])
-        assert reps == [(7, 5), (4, 10), (3, 15), (1, 22), (2, 17), (10, 1)]
+        # the thresholds are native: branched on as true first, they lead
+        # the search to the front from its low end in objective 1
+        assert reps == [(1, 22), (2, 17), (4, 10), (3, 15), (7, 5), (10, 1)]
         assert [m[1:instance.num_vars + 1] for m in models] == [
-            (-1, 1, 1, 1), (-1, -1, 1, 1), (-1, -1, -1, 1),
-            (-1, -1, -1, -1), (-1, -1, 1, -1), (1, 1, 1, 1)]
-        assert solver.stats == {"solve_calls": 13, "decisions": 29, "conflicts": 13,
-                                "propagations": 510, "restarts": 0}
+            (-1, -1, -1, -1), (-1, -1, 1, -1), (-1, -1, 1, 1),
+            (-1, -1, -1, 1), (-1, 1, 1, 1), (1, 1, 1, 1)]
+        assert solver.stats == {"solve_calls": 16, "decisions": 17, "conflicts": 12,
+                                "propagations": 342, "restarts": 0}
         assert len(solver.learnt_idxs) == 10
-        assert _digest(models) == "72a7221f7d2cb63d"
+        assert _digest(models) == "a91aa1e2d0e3ffcd"
 
     def test_analysis_resolves_through_binary_reasons(self):
         # under x1, the decision -x6 implies x3 by [6, 3], x4 by [4, -3] and
@@ -345,3 +347,173 @@ class TestExtras:
         assert solver.stats["decisions"] == 0
         solver.deadline = None
         assert solver.solve()
+
+
+def brute_force_linear(num_vars, clauses, sums, assumptions):
+    """Truth-table satisfiability of clauses plus threshold definitions.
+
+    ``sums`` holds ``(terms, {bound: var})`` with ``var <-> sum(terms) < bound``;
+    threshold variables are numbered after the ``num_vars`` instance ones.
+    """
+    for bits in itertools.product((False, True), repeat=num_vars):
+        def val(literal):
+            v = bits[abs(literal) - 1]
+            return v if literal > 0 else not v
+        if not all(any(val(l) for l in cl) for cl in clauses):
+            continue
+        value = {}
+        for terms, ys in sums:
+            total = sum(w for w, l in terms if val(l))
+            value.update({y: total < b for b, y in ys.items()})
+        if all(val(a) if abs(a) <= num_vars else value[abs(a)] == (a > 0)
+               for a in assumptions):
+            return True
+    return False
+
+
+def random_linear_solver(rng, max_vars):
+    """A solver over random clauses and one or two random linear sums with
+    random thresholds; returns it with its clauses and sums."""
+    num_vars = rng.randint(1, max_vars)
+    solver = make_solver(num_vars, [])
+    clauses = []
+    for _ in range(rng.randint(0, 4)):
+        vs = rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+        solver.add_clause(clauses[-1])
+    sums = []
+    for _ in range(rng.randint(1, 2)):
+        terms = [(rng.randint(1, 6), v if rng.random() < 0.5 else -v)
+                 for v in rng.sample(range(1, num_vars + 1), rng.randint(1, num_vars))]
+        lin = solver.new_linear(terms)
+        total = sum(w for w, _ in terms)
+        bounds = rng.sample(range(1, total + 1), rng.randint(1, total))
+        sums.append((terms, {b: solver.threshold(lin, b) for b in bounds}))
+    return solver, num_vars, clauses, sums
+
+
+class TestLinear:
+    """Native linear sums: thresholds ``y(b) <-> S < b`` propagated with
+    explanation clauses, each checked by the conftest hook."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agreement_with_truth_table(self, seed):
+        # random assumptions over instance and threshold variables, many
+        # calls per solver, so search backtracks through learnt clauses
+        rng = random.Random(seed)
+        explained = []
+        conflicts = 0
+        for _ in range(120):
+            solver, num_vars, clauses, sums = random_linear_solver(rng, 8)
+            check = solver.explain_hook
+            solver.explain_hook = lambda lin, cl: (explained.append(len(cl)), check(lin, cl))
+            for _ in range(8):
+                pool = range(1, solver.num_vars + 1)
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(pool, rng.randint(0, min(4, len(pool))))]
+                assert solver.solve(assumptions) == brute_force_linear(
+                    num_vars, clauses, sums, assumptions)
+            conflicts += solver.stats["conflicts"]
+        assert len(explained) > 50 and conflicts > 20
+
+    def test_corrupted_explanation_rejected(self):
+        # under the assumption x1, the clause [-1, 2] sets x2 and the sum
+        # 2x1 + 2x2 + 2x3 reaches 4, refuting the root unit S < 4; analysis
+        # asks for that conflict's explanation, which loses a literal here
+        from conftest import check_explanation
+
+        solver = make_solver(3, [[-1, 2]])
+        lin = solver.new_linear([(2, 1), (2, 2), (2, 3)])
+        solver.add_clause([solver.threshold(lin, 4)])
+
+        def corrupting(lin, clause):
+            if len(clause) > 1:
+                del clause[-1]
+            check_explanation(lin, clause)
+
+        solver.explain_hook = corrupting
+        with pytest.raises(AssertionError, match="does not follow"):
+            solver.solve([1])
+
+    def test_thresholds_branched_on_as_true_first(self):
+        solver = make_solver(4, [[1, 2, 3, 4]])
+        lin = solver.new_linear([(3, 1), (2, -2), (2, 3), (1, 4)])
+        ys = [solver.threshold(lin, b) for b in range(1, 9)]
+        assert all(solver.order.pos[y] >= 0 and solver.phase[y] == 1 for y in ys)
+        for assumptions in ([], [1], [-3, 2], [ys[3]], [-ys[5], ys[6]]):
+            if solver.solve(assumptions):
+                assert all(solver.model[y] != 0 for y in ys)
+
+    def test_busy_sum_handed_over_at_a_restart(self):
+        # pigeonhole, 6 into 5, takes restarts; with no explanation needed
+        # the first restart hands the sum to its on_busy, once, at level 0
+        solver = SatSolver()
+        var = {(p, h): solver.new_var() for p in range(6) for h in range(5)}
+        for p in range(6):
+            solver.add_clause([var[p, h] for h in range(5)])
+        for h in range(5):
+            for p1, p2 in itertools.combinations(range(6), 2):
+                solver.add_clause([-var[p1, h], -var[p2, h]])
+        lin = solver.new_linear([(1, var[p, 0]) for p in range(6)])
+        calls = []
+        lin.on_busy = lambda s, busy: calls.append((s, busy, list(s.trail_lim)))
+        solver.BUSY_EXPLANATIONS = 0
+        assert not solver.solve()
+        assert solver.stats["restarts"] >= 1
+        assert calls == [(solver, lin, [])]
+
+    def test_replaced_terms_keep_the_thresholds(self):
+        # S = x1 + x2 + x3 rebuilt as x1 + T with T = x2 + x3 in unary
+        solver = make_solver(3, [])
+        lin = solver.new_linear([(1, 1), (1, 2), (1, 3)])
+        ys = {b: solver.threshold(lin, b) for b in (1, 2, 3)}
+        node = solver.new_linear([(1, 2), (1, 3)])
+        solver.replace_terms(lin, [(1, 1), (1, -solver.threshold(node, 1)),
+                                   (1, -solver.threshold(node, 2))])
+        for bits in itertools.product((0, 1), repeat=3):
+            assert solver.solve([v + 1 if b else -(v + 1) for v, b in enumerate(bits)])
+            assert all(solver.model_value(y) == (sum(bits) < b) for b, y in ys.items())
+        with pytest.raises(ValueError):
+            solver.replace_terms(lin, [(1, 1)])
+
+    def test_root_thresholds_fixed_at_creation(self):
+        solver = make_solver(3, [[1], [-2]])
+        lin = solver.new_linear([(4, 1), (2, 2), (1, 3)])
+        low, high = solver.threshold(lin, 4), solver.threshold(lin, 6)
+        assert {-low, high} <= set(solver.fixed_literals())  # S is 4 or 5
+        middle = solver.threshold(lin, 5)
+        assert middle not in solver.fixed_literals()
+        assert solver.threshold(lin, 5) == middle
+        assert solver.solve([middle]) and solver.model_value(-3)
+
+    def test_threshold_past_deadline_raises(self):
+        solver = make_solver(2, [])
+        lin = solver.new_linear([(1, 1), (1, 2)])
+        first = solver.threshold(lin, 1)
+        import time
+        solver.deadline = time.monotonic() - 1
+        assert solver.threshold(lin, 1) == first  # already there: nothing to create
+        with pytest.raises(SolveBudgetExceeded):
+            solver.threshold(lin, 2)
+        assert solver.num_vars == 3
+
+    def test_model_check_covers_thresholds(self):
+        solver = make_solver(2, [])
+        lin = solver.new_linear([(1, 1), (1, 2)])
+        y = solver.threshold(lin, 2)
+        assert solver.solve([1, 2])
+        solver.model[y] = 1  # S is 2, not below 2
+        with pytest.raises(AssertionError, match="threshold"):
+            solver._verify_model([])
+
+    def test_dimacs_defines_thresholds(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            solver, num_vars, clauses, sums = random_linear_solver(rng, 5)
+            lines = solver.to_dimacs().strip().splitlines()
+            dumped = [[int(tok) for tok in line.split()[:-1]] for line in lines[1:]]
+            total_vars = int(lines[0].split()[2])
+            for bits in itertools.product((0, 1), repeat=num_vars):
+                units = [v + 1 if b else -(v + 1) for v, b in enumerate(bits)]
+                expect = brute_force_linear(num_vars, clauses, sums, units)
+                assert brute_force_sat(total_vars, dumped, units) == expect

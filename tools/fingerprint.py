@@ -9,7 +9,8 @@ from ``CHECKOUT/perfbench/workloads.py``; ``CHECKOUT`` defaults to the
 checkout holding this file.  Prints one line per case: a sha256 prefix of
 the result JSON (of the efficient records for ``enumerate_efficient_set``),
 then the counters summed over every solver the case built, then the
-objective clauses summed over every encoder it built.  A change that
+threshold literals (``Encoder.objective_clauses``) summed over every
+encoder it built.  A change that
 must not alter search or results prints the same lines as its parent:
 
     python3 tools/fingerprint.py > new.txt
