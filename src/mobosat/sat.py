@@ -228,7 +228,7 @@ class SatSolver:
     RESTART_BASE = 100
     # explanations a linear sum builds before the restart that calls its
     # ``on_busy`` (lazy decomposition, Abio & Stuckey, CP 2012)
-    BUSY_EXPLANATIONS = 2000
+    BUSY_EXPLANATIONS = 500
 
     def __init__(self, check_models: bool = False):
         self.check_models = check_models
