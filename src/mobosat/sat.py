@@ -303,9 +303,9 @@ class SatSolver:
     def new_linear(self, terms: Iterable[Tuple[int, int]]) -> _Linear:
         """A linear sum over ``(weight >= 1, signed literal)`` terms, one per
         variable, with no thresholds yet."""
-        terms = list(terms)
-        lin = _Linear(sum(w for w, _ in terms))
-        self._set_terms(lin, terms)
+        codes = self._term_codes(terms)
+        lin = _Linear(sum(w for w, _ in codes))
+        self._set_terms(lin, codes)
         self.linears.append(lin)
         return lin
 
@@ -313,14 +313,14 @@ class SatSolver:
         """Give ``lin`` new terms whose sum equals the old one in every model
         (say, over partial sums of the old terms) and propagate at the root.
         Called at decision level 0."""
+        codes = self._term_codes(terms)
+        if sum(w for w, _ in codes) != lin.total:
+            raise ValueError("new terms must have the same total weight")
         lwatch = self.lwatch
         for _, code in lin.terms:
             for c in (code, code ^ 1):
                 lwatch[c] = [entry for entry in lwatch[c] if entry[0] is not lin]
-        terms = list(terms)
-        if sum(w for w, _ in terms) != lin.total:
-            raise ValueError("new terms must have the same total weight")
-        self._set_terms(lin, terms)
+        self._set_terms(lin, codes)
         self._wake_at_root(lin)
 
     def _wake_at_root(self, lin: _Linear) -> None:
@@ -331,14 +331,19 @@ class SatSolver:
             if self._propagate() is not None:
                 self.ok = False
 
-    def _set_terms(self, lin: _Linear, terms: List[Tuple[int, int]]) -> None:
-        """Install ``terms`` on ``lin``, counting the literals fixed at the root."""
+    def _term_codes(self, terms: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """``(weight, literal code)`` pairs of checked terms, heaviest first."""
         codes = sorted(((w, _to_code(lit)) for w, lit in terms), key=lambda t: (-t[0], t[1]))
         for w, code in codes:
             if not 0 < code >> 1 <= self.num_vars:
                 raise ValueError(f"unknown variable {code >> 1}; call new_var first")
             if w < 1:
                 raise ValueError(f"weight must be >= 1, got {w}")
+        return codes
+
+    def _set_terms(self, lin: _Linear, codes: List[Tuple[int, int]]) -> None:
+        """Install the term ``codes`` on ``lin``, counting the literals fixed
+        at the root."""
         if self.ok and self._propagate() is not None:  # count each root literal once
             self.ok = False
         lin.terms = codes

@@ -475,6 +475,7 @@ class TestLinear:
             assert all(solver.model_value(y) == (sum(bits) < b) for b, y in ys.items())
         with pytest.raises(ValueError):
             solver.replace_terms(lin, [(1, 1)])
+        assert solver.solve([1, 2]) and not solver.model_value(ys[2])  # still S = 2
 
     def test_root_thresholds_fixed_at_creation(self):
         solver = make_solver(3, [[1], [-2]])
