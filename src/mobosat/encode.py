@@ -297,7 +297,10 @@ class ObjectiveLadder:
     for few distinct weights, as after coarse rounding, where explanations
     over single terms make clause learning count case by case; on the
     covering instance of acceptance criterion 8 it cut CoRe's first
-    iteration from about 46,000 conflicts to 8,313.
+    iteration from about 46,000 conflicts to 8,313.  Decomposing every such
+    sum when its ladder is built does worse: 9,137 conflicts on that
+    iteration, and about six times the solve time on the benchmark's
+    anytime workloads, whose sums seldom get busy.
     """
 
     def __init__(self, encoder: Encoder, expr: LinearExpr, eager: bool = False):

@@ -2,17 +2,22 @@
 
 Usage, from the root of this checkout:
 
-    python3 tools/bench_pair.py PARENT_CHECKOUT --out BENCH_<n>.json [--runs 3]
+    python3 tools/bench_pair.py PARENT_CHECKOUT --out BENCH_<n>.json
 
-For each workload that ``BENCHMARK.json`` lists, the tool runs
-``perfbench/run.py --trace 0`` once per side and round, for ``--runs``
-rounds, alternating which side goes first; then one ``--trace 1`` run per
-side gives the per-layer counters.  Every run uses the benchmark's own run
-length and is a single process, and only one runs at a time.  The output
-holds, per workload and side, each end-to-end metric's min and median over
-the untraced runs (with the runs themselves), the traced run's metrics,
-whether every output was correct, both checkouts' git SHAs, the Python
-version and the number of usable cores.
+For each workload that ``BENCHMARK.json`` lists, the tool runs ``PAIRS``
+pairs of ``perfbench/run.py --trace 0`` runs, one per side, alternating
+which side goes first; then one ``--trace 1`` run per side gives the
+per-layer counters.  Every run uses the benchmark's own run length and is a
+single process, and only one runs at a time.  The output holds, per
+workload and side, each metric's min, quartiles and median over the
+untraced runs (with the runs themselves), the traced run's metrics and
+whether every output was correct; per workload and end-to-end metric, the
+pairs in which the change did better, the parent's interquartile range
+and the distance between the medians (parent minus change for a
+lower-is-better metric); and both checkouts' git SHAs, the Python version
+and the number of usable cores.  A gain is shown when the change does
+better in at least nine pairs in ten and the medians differ by more than
+the parent's interquartile range.
 """
 
 import argparse
@@ -25,6 +30,9 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+# alternating parent/change pairs per workload: the fewest that can show a
+# gain won in nine pairs out of ten
+PAIRS = 10
 
 
 def _sha(checkout: Path) -> str:
@@ -50,23 +58,31 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 
 def _summary(runs: list) -> dict:
-    metrics = runs[0]["metrics"]
+    def stats(values: list) -> dict:
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        return {"min": min(values), "q1": q1, "median": median, "q3": q3, "runs": values}
+
     return {
         "correct": all(r["correct"] and not r["failed"] for r in runs),
-        "metrics": {k: {"min": min(r["metrics"][k] for r in runs),
-                        "median": statistics.median(r["metrics"][k] for r in runs),
-                        "runs": [r["metrics"][k] for r in runs]} for k in metrics},
+        "metrics": {k: stats([r["metrics"][k] for r in runs]) for k in runs[0]["metrics"]},
     }
+
+
+def _pairs(parent: list, change: list, better: str) -> dict:
+    """How the change's runs compare with the parent's, pair by pair."""
+    sign = 1 if better == "lower" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    return {"change_better": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+            "pairs": len(parent),
+            "parent_iqr": q3 - q1,
+            "median_gain": sign * (statistics.median(parent) - statistics.median(change))}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="a checkout of the parent commit")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--runs", type=int, default=3, help="untraced runs per side and workload")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": HERE}
@@ -75,12 +91,12 @@ def main() -> None:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "run_seconds": seconds,
-        "runs_per_side": args.runs,
+        "runs_per_side": PAIRS,
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in sides}
-        for i in range(args.runs):
+        for i in range(PAIRS):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
                 runs[side].append(_run(sides[side], workload, i + 1, seconds, trace=0))
@@ -89,6 +105,11 @@ def main() -> None:
             side: {**_summary(runs[side]),
                    "traced": _run(sides[side], workload, 1, seconds, trace=1)["metrics"]}
             for side in sides
+        }
+        result["workloads"][workload]["pairs"] = {
+            m["name"]: _pairs([r["metrics"][m["name"]] for r in runs["parent"]],
+                              [r["metrics"][m["name"]] for r in runs["change"]], m["better"])
+            for m in bench["end_to_end"]
         }
     args.out.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
 
