@@ -5,8 +5,9 @@ of pseudo-Boolean sums.
 one objective.  It is a thin front end over one linear sum of the solver
 (``SatSolver.new_linear``), which propagates the thresholds natively: a
 ladder emits no clause, and creates a threshold variable on the first
-request of each attainable bound.  That is the one objective encoding; a
-sum the solver finds busy may be rebuilt over native partial sums.
+request of each attainable bound.  That is the one objective encoding; the
+solver itself may rebuild a busy sum over partial sums at a restart
+(``SatSolver._split``).
 
 A ``UnarySum`` materializes, lazily and per requested bound, literals
 ``geq(b)`` meaning "the weighted sum is >= b".  Internally it is a memoized
@@ -22,13 +23,12 @@ DAG with the root asserted, through ``Encoder.add``, the one clause sink;
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import Instance, LinearExpr, PBConstraint
-from .sat import SatSolver, SolveBudgetExceeded
+from .sat import SatSolver, SolveBudgetExceeded, _bits, _mask
 
 TRUE = True
 FALSE = False
@@ -36,10 +36,6 @@ FALSE = False
 # enough to define every threshold of a sum of four small terms over the
 # terms alone
 _ELIM_GROWTH = 32
-# largest decomposition (_decompose), in threshold variables per term: on
-# criterion 8's objectives, rounded at ratio 11 they need 5 to 9, with their
-# 44 and 49 distinct weights 70 to 104
-_TREE_PER_TERM = 16
 
 
 class Encoder:
@@ -81,11 +77,6 @@ def _next_reachable(mask: int, bound: int) -> int:
     if shifted == 0:
         return -1
     return (shifted & -shifted).bit_length() - 1 + bound
-
-
-def _bits(mask: int) -> List[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
 
 
 class UnarySum:
@@ -235,48 +226,6 @@ def _eliminate(keep: int, top: int, clauses: List[List[int]]) -> Tuple[int, List
     return keep + len(survivors), out
 
 
-def _mask(terms: Sequence[Tuple[int, int]]) -> int:
-    """The attainable sums of ``terms`` as a bit mask."""
-    mask = 1
-    for w, _ in terms:
-        mask |= mask << w
-    return mask
-
-
-def _tree_size(terms: Sequence[Tuple[int, int]]) -> int:
-    """Threshold variables ``_halves`` would create for ``terms``."""
-    half = len(terms) // 2
-    return sum(_mask(part).bit_count() - 1 + _tree_size(part)
-               for part in (terms[:half], terms[half:]) if len(part) > 1)
-
-
-def _halves(solver: SatSolver, terms: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Terms with the sum of ``terms``, over the partial sums of its two halves.
-
-    A half of one term stays as it is.  A longer half becomes a linear sum
-    ``S`` of its own ``_halves``, with a threshold at each attainable value,
-    and enters as the terms ``(v - u, [S >= v])`` over its consecutive
-    attainable values ``u < v``: a native totalizer node.
-    """
-    out = []
-    half = len(terms) // 2
-    for part in (terms[:half], terms[half:]):
-        if len(part) == 1:
-            out += part
-            continue
-        node = solver.new_linear(_halves(solver, part))
-        values = _bits(_mask(part))
-        out += [(v - u, -solver.threshold(node, v)) for u, v in zip(values, values[1:])]
-    return out
-
-
-def _decompose(terms: List[Tuple[int, int]], solver: SatSolver, lin) -> None:
-    """Rebuild ``lin``, the sum of ``terms``, over partial sums (``_halves``),
-    so its explanations name partial sums, which conflict analysis can learn
-    over, in place of the terms themselves."""
-    solver.replace_terms(lin, _halves(solver, terms))
-
-
 class ObjectiveLadder:
     """Threshold literals ``y(d) <-> f(x) < d`` for one objective.
 
@@ -290,17 +239,6 @@ class ObjectiveLadder:
     constant-true literal.  An ``eager`` ladder creates every attainable
     threshold at once.  Creating a threshold past the solver's deadline
     raises SolveBudgetExceeded.
-
-    When the sum's explanations keep feeding conflicts, the solver rebuilds
-    it over partial sums (``_decompose``, at a restart), provided these need
-    at most ``_TREE_PER_TERM`` threshold variables per term.  That holds
-    for few distinct weights, as after coarse rounding, where explanations
-    over single terms make clause learning count case by case; on the
-    covering instance of acceptance criterion 8 it cut CoRe's first
-    iteration from about 46,000 conflicts to 8,313.  Decomposing every such
-    sum when its ladder is built does worse: 9,137 conflicts on that
-    iteration, and about six times the solve time on the benchmark's
-    anytime workloads, whose sums seldom get busy.
     """
 
     def __init__(self, encoder: Encoder, expr: LinearExpr, eager: bool = False):
@@ -320,9 +258,6 @@ class ObjectiveLadder:
         self.constant = constant
         self.mask = _mask(terms)
         self.linear = solver.new_linear(terms)
-        terms.sort()  # equal weights side by side: few attainable partial sums
-        if len(terms) > 2 and _tree_size(terms) <= _TREE_PER_TERM * len(terms):
-            self.linear.on_busy = functools.partial(_decompose, terms)
         if eager:
             for s in _bits(self.mask)[1:]:
                 solver.threshold(self.linear, s)

@@ -279,9 +279,10 @@ def write_result(result: ApproxResult, format: str = "json") -> bytes:
 
 
 def parse_point_file(text: str) -> List[Tuple[int, ...]]:
-    """Points from JSON: a list of nonnegative integer lists, bare or as a
-    result document's ``images``.  The indicators divide by coordinates, so
-    a negative one would give a meaningless ratio and hypervolume."""
+    """Points from JSON: a list of nonnegative integer lists of one nonzero
+    length, bare or as a result document's ``images``.  The indicators divide
+    by coordinates, so a negative one would give a meaningless ratio and
+    hypervolume, and compare points coordinate by coordinate."""
     data = json.loads(text)
     points = data.get("images") if isinstance(data, dict) else data
     # type(c) is int: JSON true/false are not coordinates
@@ -289,4 +290,8 @@ def parse_point_file(text: str) -> List[Tuple[int, ...]]:
             isinstance(q, list) and all(type(c) is int and c >= 0 for c in q) for q in points):
         raise ValueError("points must be a list of nonnegative integer lists, "
                          "bare or under 'images'")
+    lengths = {len(q) for q in points}
+    if len(lengths) > 1 or 0 in lengths:
+        raise ValueError("points must be a list of nonnegative integer lists "
+                         "of one nonzero length")
     return [tuple(q) for q in points]

@@ -164,6 +164,14 @@ class TestOtherCommands:
         assert data["epsilon_vs_reference"] == "2/1"
         assert data["epsilon_vs_reference_float"] == 2.0
 
+    def test_evaluate_rejects_ragged_points(self, tmp_path, capsys):
+        # an empty reference used to let a ragged file reach the indicators
+        a, r = tmp_path / "a.json", tmp_path / "r.json"
+        a.write_text("[[1,2],[3]]")
+        r.write_text("[]")
+        assert main(["evaluate", str(a), str(r)]) == EXIT_ERROR
+        assert "error: points must be" in capsys.readouterr().err
+
     def test_help_lists_flags(self):
         result = run_cli("solve", "--help")
         assert result.returncode == 0

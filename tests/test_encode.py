@@ -178,7 +178,8 @@ class TestLadder:
 
 
 class TestDecomposition:
-    """A busy ladder's sum rebuilt over partial sums means the same."""
+    """A busy ladder's sum, split by the solver over partial sums, means the
+    same."""
 
     @pytest.mark.parametrize("weights", [[1] * 7, [2, 2, 2, 22, 22, 22, 22, 22], [5, 1, 3, 2]])
     def test_decomposed_thresholds_exhaustive(self, weights):
@@ -186,9 +187,8 @@ class TestDecomposition:
         f = LinearExpr(tuple((w, Literal(v + 1, v % 3 == 0)) for v, w in enumerate(weights)), 2)
         solver, encoder = fresh(n)
         ladder = encode_objective(encoder, 0, f, eager=True)
-        busy = ladder.linear.on_busy
-        assert busy is not None
-        busy(solver, ladder.linear)
+        solver._split(ladder.linear)
+        assert ladder.linear.settled
         assert len(solver.linears) > 1  # the partial sums
         reachable = ladder.reachable_values()
         lits = {d: ladder.encode_lt(d) for d in range(reachable[-1] + 2)}
@@ -202,9 +202,13 @@ class TestDecomposition:
         # 100 threshold variables per term
         f = generate_mscp(60, 20, 3, 2).objectives[1]
         solver, encoder = fresh(60)
-        assert encode_objective(encoder, 0, f).linear.on_busy is None
+        whole = encode_objective(encoder, 0, f).linear
+        terms = list(whole.terms)
+        solver._split(whole)
+        assert whole.settled and whole.terms == terms and len(solver.linears) == 1
         rounded = approx_coefficients(f, 11).approx  # two distinct weights
-        assert encode_objective(encoder, 0, rounded).linear.on_busy is not None
+        solver._split(encode_objective(encoder, 0, rounded).linear)
+        assert len(solver.linears) > 2
 
 
 class TestClauseCounting:

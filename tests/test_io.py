@@ -188,7 +188,8 @@ class TestPointFiles:
             parse_point_file('{"foo": 1}')
 
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '{"images": 3}', "[[1, null]]",
-                                      "[[1, true]]", '[["1", 2]]', "[[1.5, 2]]", "[[-1, 2]]"])
+                                      "[[1, true]]", '[["1", 2]]', "[[1.5, 2]]", "[[-1, 2]]",
+                                      "[[1, 2], [3]]", "[[]]"])
     def test_rejects_malformed_points(self, text):
         with pytest.raises(ValueError, match="list of nonnegative integer lists"):
             parse_point_file(text)

@@ -392,6 +392,31 @@ def random_linear_solver(rng, max_vars):
     return solver, num_vars, clauses, sums
 
 
+def pigeonhole_with_sum(holes):
+    """Pigeonhole, ``holes + 1`` into ``holes``, with a sum over the pigeons
+    of hole 0 that counts as busy from the start."""
+    solver = SatSolver()
+    pigeons = range(holes + 1)
+    var = {(p, h): solver.new_var() for p in pigeons for h in range(holes)}
+    for p in pigeons:
+        solver.add_clause([var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1, p2 in itertools.combinations(pigeons, 2):
+            solver.add_clause([-var[p1, h], -var[p2, h]])
+    lin = solver.new_linear([(1, var[p, 0]) for p in pigeons])
+    solver.BUSY_EXPLANATIONS = 0
+    return solver, lin
+
+
+def record_splits(solver):
+    """Record each sum the solver's restarts split, with the decision levels
+    open at the time."""
+    calls = []
+    split = solver._split
+    solver._split = lambda lin: (calls.append((lin, list(solver.trail_lim))), split(lin))
+    return calls
+
+
 class TestLinear:
     """Native linear sums: thresholds ``y(b) <-> S < b`` propagated with
     explanation clauses, each checked by the conftest hook."""
@@ -446,36 +471,28 @@ class TestLinear:
 
     def test_busy_sum_handed_over_at_a_restart(self):
         # pigeonhole, 6 into 5, takes restarts; with no explanation needed
-        # the first restart hands the sum to its on_busy, once, at level 0
-        solver = SatSolver()
-        var = {(p, h): solver.new_var() for p in range(6) for h in range(5)}
-        for p in range(6):
-            solver.add_clause([var[p, h] for h in range(5)])
-        for h in range(5):
-            for p1, p2 in itertools.combinations(range(6), 2):
-                solver.add_clause([-var[p1, h], -var[p2, h]])
-        lin = solver.new_linear([(1, var[p, 0]) for p in range(6)])
-        calls = []
-        lin.on_busy = lambda s, busy: calls.append((s, busy, list(s.trail_lim)))
-        solver.BUSY_EXPLANATIONS = 0
+        # the first restart splits the sum, once, at level 0
+        solver, lin = pigeonhole_with_sum(5)
+        calls = record_splits(solver)
         assert not solver.solve()
         assert solver.stats["restarts"] >= 1
-        assert calls == [(solver, lin, [])]
+        assert calls == [(lin, [])]
+        assert len(solver.linears) == 5  # two nodes of 3 terms, each over a node of 2
 
-    def test_replaced_terms_keep_the_thresholds(self):
-        # S = x1 + x2 + x3 rebuilt as x1 + T with T = x2 + x3 in unary
-        solver = make_solver(3, [])
-        lin = solver.new_linear([(1, 1), (1, 2), (1, 3)])
-        ys = {b: solver.threshold(lin, b) for b in (1, 2, 3)}
-        node = solver.new_linear([(1, 2), (1, 3)])
-        solver.replace_terms(lin, [(1, 1), (1, -solver.threshold(node, 1)),
-                                   (1, -solver.threshold(node, 2))])
-        for bits in itertools.product((0, 1), repeat=3):
-            assert solver.solve([v + 1 if b else -(v + 1) for v, b in enumerate(bits)])
-            assert all(solver.model_value(y) == (sum(bits) < b) for b, y in ys.items())
-        with pytest.raises(ValueError):
-            solver.replace_terms(lin, [(1, 1)])
-        assert solver.solve([1, 2]) and not solver.model_value(ys[2])  # still S = 2
+    def test_nodes_never_split_and_ineligible_sums_tested_once(self):
+        # a sum of two terms is never split; at every later restart neither it
+        # nor the partial-sum nodes of the split sum come up again (7 into 6
+        # takes 6 restarts)
+        solver, lin = pigeonhole_with_sum(6)
+        pair = solver.new_linear([(1, 1), (2, 2)])
+        solver.threshold(pair, 2)
+        terms = list(pair.terms)
+        calls = record_splits(solver)
+        assert not solver.solve()
+        assert solver.stats["restarts"] >= 3
+        assert calls == [(lin, []), (pair, [])]
+        assert pair.terms == terms
+        assert all(node.settled for node in solver.linears)
 
     def test_root_thresholds_fixed_at_creation(self):
         solver = make_solver(3, [[1], [-2]])

@@ -10,8 +10,16 @@ checkout holding this file.  Prints one line per case: a sha256 prefix of
 the result JSON (of the efficient records for ``enumerate_efficient_set``),
 then the counters summed over every solver the case built, then the
 threshold literals (``Encoder.objective_clauses``) summed over every
-encoder it built.  A change that
-must not alter search or results prints the same lines as its parent:
+encoder it built.
+
+The two ``core(11)->11`` cases run CoRe's ratio-11 iteration on covering
+instances large enough to restart (5 and 11 restarts), which no other case
+does.  At those restarts the solver splits busy linear sums over partial
+sums (``SatSolver._split``): six sums in all, and the second case also
+reaches a busy sum too varied in its weights to split.
+
+A change that must not alter search or results prints the same lines as
+its parent:
 
     python3 tools/fingerprint.py > new.txt
     python3 tools/fingerprint.py ../parent > old.txt
@@ -59,6 +67,10 @@ def _cases(engine, io, workloads):
             yield f"{tag} core(2)", result_json(engine.core_solve, instance, schedule)
             yield f"{tag} intre(2)", result_json(engine.intre_solve, instance, schedule)
             yield f"{tag} efficient", efficient(instance)
+    for args in ((30, 10, 3, 2), (40, 14, 3, 1)):
+        yield f"cover{args} core(11)->11", result_json(
+            engine.core_solve, io.generate_mscp(*args),
+            engine.RatioSchedule(start=11, divisor=10, target=11))
 
 
 def main() -> None:
