@@ -32,8 +32,6 @@ EXIT_ERROR = 1
 EXIT_TRUNCATED = 2
 EXIT_INFEASIBLE = 3
 
-log = logging.getLogger("mobosat.cli")
-
 
 def _configure_logging() -> None:
     level_name = os.environ.get("MOBO_MCS_LOG", "WARNING").upper()
@@ -214,8 +212,10 @@ def _cmd_evaluate(args) -> int:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage or help
+        return EXIT_ERROR if exc.code else EXIT_OK
     handlers = {
         "solve": _cmd_solve,
         "enumerate-efficient": _cmd_enumerate,
@@ -226,7 +226,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (iomod.ParseError, oraclemod.OracleCapError, ValueError, OSError) as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

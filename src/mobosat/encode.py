@@ -16,19 +16,20 @@ canonicalized to the next attainable suffix sum, so structurally equal
 subproblems share nodes across every requested threshold.  Full equivalence
 is emitted for each node, so in every model the output literals mirror the
 sum exactly in both directions.  Pseudo-Boolean ``>=`` constraints use the
-DAG with the root asserted, through ``Encoder.add``, the one clause sink;
+DAG with the root asserted, straight into ``SatSolver.add_clause``;
 ``threshold_cnf`` uses it to write a linear sum's thresholds as CNF for
-``SatSolver.to_dimacs``.
+``SatSolver.to_dimacs``.  Only the solver reads its deadline: constraint
+clauses are never refused, and a ladder stops when ``SatSolver.threshold``
+does.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import Instance, LinearExpr, PBConstraint
-from .sat import SatSolver, SolveBudgetExceeded, _bits, _mask
+from .sat import SatSolver, _bits, _mask
 
 TRUE = True
 FALSE = False
@@ -39,7 +40,7 @@ _ELIM_GROWTH = 32
 
 
 class Encoder:
-    """Owns the constant-true literal and the clause sink for one solver."""
+    """Owns the constant-true literal of one solver."""
 
     def __init__(self, solver: SatSolver):
         self.solver = solver
@@ -52,21 +53,10 @@ class Encoder:
         the trace field it fills)."""
         return self.solver.num_thresholds
 
-    def add(self, lits: Sequence[int]) -> None:
-        """Add one clause to the solver.
-
-        Raises SolveBudgetExceeded before the clause once the solver's
-        deadline has passed, so no constraint encoding outlasts the budget.
-        """
-        solver = self.solver
-        if solver.deadline is not None and time.monotonic() > solver.deadline:
-            raise SolveBudgetExceeded()
-        solver.add_clause(lits)
-
     def true_lit(self) -> int:
         if self._true_lit is None:
             var = self.solver.new_var()
-            self.add([var])
+            self.solver.add_clause([var])
             self._true_lit = var
         return self._true_lit
 
@@ -285,17 +275,18 @@ def encode_pb_geq(encoder: Encoder, constraint: PBConstraint) -> None:
     total = sum(c for c, _ in terms)
     if bound <= 0:
         return
+    add = encoder.solver.add_clause
     if bound > total:
-        encoder.add([])
+        add([])
     elif bound == total:
         for _, lit in terms:
-            encoder.add([lit])
+            add([lit])
     elif bound == 1:
-        encoder.add([lit for _, lit in terms])
+        add([lit for _, lit in terms])
     else:
         # 1 < bound < total: the DAG's root is a literal, not a constant
-        dag = UnarySum(encoder.solver.new_var, encoder.add, terms)
-        encoder.add([dag.geq(bound)])
+        dag = UnarySum(encoder.solver.new_var, add, terms)
+        add([dag.geq(bound)])
 
 
 def encode_instance_constraints(encoder: Encoder, instance: Instance) -> None:

@@ -28,9 +28,9 @@ iteration-scoped state never outlives its iteration.  A wall-clock budget
 becomes the ``deadline`` of every solver a run builds: ``_constrained_solver``
 sets it once the constraints are encoded and propagated at the root, so
 constraint encoding stays outside the budget.  Past it, solving and
-encoding alike raise SolveBudgetExceeded, and the run returns partial
-results flagged as truncated with the ratio warranted by the last completed
-iteration.
+creating a threshold alike raise SolveBudgetExceeded, and the run returns
+partial results flagged as truncated with the ratio warranted by the last
+completed iteration.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ def _constrained_solver(instance: Instance,
 
 def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr) -> PreparedObjective:
     """Ladder of ``expr`` whose domain is every attainable value plus one
-    past the largest; the ladder picks its encoding for that domain."""
-    ladder = encode_objective(encoder, index, expr, eager=True)
+    past the largest."""
+    ladder = encode_objective(encoder, index, expr)
     reachable = ladder.reachable_values()
     return _prepare_objective(expr, ladder, reachable + [reachable[-1] + 1])
 
@@ -295,7 +295,6 @@ class _Iteration:
     """What one re-approximation iteration enumerates over."""
 
     solver: SatSolver
-    encoder: Encoder
     prepared: List[PreparedObjective]
     seeds: List[Point]  # lower bounds known before enumerating
     shared: bool  # the solver outlives the iteration: guard its region blocks
@@ -341,7 +340,7 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule,
             new_images=tuple(rec.image for rec in outcome.records),
             new_lower_bounds=tuple(outcome.lower_bounds),
             mcs_count=len(outcome.lower_bounds),
-            objective_clauses=step.encoder.objective_clauses,
+            objective_clauses=step.solver.num_thresholds,
             completed=outcome.completed,
             wall_s=time.monotonic() - t0,
         ))
@@ -404,7 +403,7 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
             seeds.append(z)
         walk = None if exact else [encode_objective(encoder, k, f)
                                    for k, f in enumerate(instance.objectives)]
-        return _Iteration(solver, encoder, prepared, seeds, shared=False, complete=True,
+        return _Iteration(solver, prepared, seeds, shared=False, complete=True,
                           proves_exact=lambda outcome: exact, walk=walk)
 
     return _reapproximate(instance, schedule, prepare, "coeff")
@@ -433,7 +432,7 @@ def intre_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
                     for f, ladder in zip(instance.objectives, ladders)]
         for rec in fresh:
             solver.add_clause(_region(prepared, rec.image))
-        return _Iteration(solver, encoder, prepared, [rec.image for rec in records],
+        return _Iteration(solver, prepared, [rec.image for rec in records],
                           shared=True, complete=(ratio == 1),
                           proves_exact=lambda outcome: not outcome.records)
 

@@ -68,9 +68,8 @@ _TREE_PER_TERM = 16
 
 
 class SolveBudgetExceeded(Exception):
-    """Raised once the solver's ``deadline`` has passed: by ``solve``, by
-    ``threshold`` before it creates a variable, and by the encoders before
-    they emit a clause into the solver."""
+    """Raised once the solver's ``deadline`` has passed: by ``solve``, and
+    by ``threshold`` before it creates a variable."""
 
 
 def _to_code(lit: int) -> int:
@@ -267,7 +266,7 @@ class SatSolver:
     """Incremental CNF solver: grow clauses monotonically, solve under assumptions.
 
     ``deadline`` (``time.monotonic()`` seconds, None for no limit) bounds the
-    wall time spent searching in this solver and encoding into it.
+    wall time spent searching in this solver and creating its thresholds.
     ``explain_hook``, when set, is called as ``hook(linear, clause)`` with
     every explanation clause a linear sum builds, before it is used.
     """
@@ -385,8 +384,7 @@ class SatSolver:
         if self.ok:
             lin.dirty = True
             self.dirty.append(lin)
-            if self._propagate() is not None:
-                self.ok = False
+            self.propagate_root()
 
     def _term_codes(self, terms: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
         """``(weight, literal code)`` pairs of checked terms, heaviest first."""
@@ -401,8 +399,7 @@ class SatSolver:
     def _set_terms(self, lin: _Linear, codes: List[Tuple[int, int]]) -> None:
         """Install the term ``codes`` on ``lin``, counting the literals fixed
         at the root."""
-        if self.ok and self._propagate() is not None:  # count each root literal once
-            self.ok = False
+        self.propagate_root()  # count each root literal once
         lin.terms = codes
         lin.weight = {code: w for w, code in codes}
         lin.trues, lin.tsum, lin.falses, lin.fsum = [], [0], [], [0]
@@ -471,8 +468,7 @@ class SatSolver:
             return
         if len(filtered) == 1:
             self._unchecked_enqueue(filtered[0], None)
-            if self._propagate() is not None:
-                self.ok = False
+            self.propagate_root()
             return
         self._attach(filtered, learnt=False)
 

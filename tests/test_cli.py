@@ -103,6 +103,20 @@ class TestSolve:
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/really.pbmo"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x.pbmo", "--ratio", "0.5"],  # a ratio below 1
+        ["solve"],  # no instance
+        [],  # no subcommand
+    ])
+    def test_usage_error_exit_code(self, argv, capsys):
+        # argparse exits 2 itself, which would read as a truncated solve
+        assert main(argv) == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, instance_file, tmp_path):
@@ -164,13 +178,16 @@ class TestOtherCommands:
         assert data["epsilon_vs_reference"] == "2/1"
         assert data["epsilon_vs_reference_float"] == 2.0
 
-    def test_evaluate_rejects_ragged_points(self, tmp_path, capsys):
-        # an empty reference used to let a ragged file reach the indicators
+    def test_evaluate_rejects_ragged_points(self, tmp_path):
+        # an empty reference used to let a ragged file reach the indicators;
+        # a child process, so the error is logged as a real run logs it
         a, r = tmp_path / "a.json", tmp_path / "r.json"
         a.write_text("[[1,2],[3]]")
         r.write_text("[]")
-        assert main(["evaluate", str(a), str(r)]) == EXIT_ERROR
-        assert "error: points must be" in capsys.readouterr().err
+        result = run_cli("evaluate", str(a), str(r))
+        assert result.returncode == EXIT_ERROR
+        assert result.stderr.splitlines() == [result.stderr.strip()]  # one line
+        assert result.stderr.startswith("error: points must be")
 
     def test_help_lists_flags(self):
         result = run_cli("solve", "--help")

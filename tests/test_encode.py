@@ -230,8 +230,9 @@ class TestClauseCounting:
 
 
 class TestDeadline:
-    """Past the solver's deadline, an encoder raises before emitting a clause
-    and a ladder before creating a threshold variable."""
+    """Past the solver's deadline, a ladder raises before creating a threshold
+    variable, and constraint clauses are still added: only the solver reads
+    the deadline, and constraint encoding stays outside the budget."""
 
     def expired(self, ladder_example):
         solver, encoder = fresh(3)
@@ -256,11 +257,10 @@ class TestDeadline:
         assert encoder.objective_clauses == 0
         assert (solver.num_clauses, solver.num_vars) == sizes
 
-    def test_constraint_clause_raises(self, ladder_example):
+    def test_constraint_clause_is_added(self, ladder_example):
         solver, encoder, (clauses, _) = self.expired(ladder_example)
-        with pytest.raises(SolveBudgetExceeded):
-            encode_pb_geq(encoder, PBConstraint(LinearExpr(((1, lit(1)), (1, nlit(3)))), 1))
-        assert solver.num_clauses == clauses
+        encode_pb_geq(encoder, PBConstraint(LinearExpr(((1, lit(1)), (1, nlit(3)))), 1))
+        assert solver.num_clauses == clauses + 1
 
 
 def sink(num_vars):
@@ -277,8 +277,8 @@ class TestSumStructures:
         for _ in range(20):
             n = rng.randint(1, 6)
             terms = [(rng.randint(1, 7), (v + 1) * rng.choice((1, -1))) for v in range(n)]
-            solver, encoder = fresh(n)
-            s = cls(solver.new_var, encoder.add, terms)
+            solver, _ = fresh(n)
+            s = cls(solver.new_var, solver.add_clause, terms)
             bound_lits = {}
             for v in s.reachable_sums():
                 if v > 0:

@@ -18,6 +18,11 @@ lower-is-better metric); and both checkouts' git SHAs, the Python version
 and the number of usable cores.  A gain is shown when the change does
 better in at least nine pairs in ten and the medians differ by more than
 the parent's interquartile range.
+
+Before the first pair, ``python -m compileall -q src perfbench`` runs in
+both checkouts (it writes bytecode even under ``PYTHONDONTWRITEBYTECODE``),
+so ``setup_s``, which includes importing ``mobosat``, does not favour the
+side that happens to hold cached bytecode.
 """
 
 import argparse
@@ -94,6 +99,9 @@ def main() -> None:
         "runs_per_side": PAIRS,
         "workloads": {},
     }
+    for path in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=path, check=True)
     for workload in (w["name"] for w in bench["workloads"]):
         runs = {side: [] for side in sides}
         for i in range(PAIRS):
