@@ -44,7 +44,14 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from . import model
 from .approx import approx_coefficients, as_ratio, compute_domain
 from .encode import Encoder, ObjectiveLadder, encode_instance_constraints, encode_objective
-from .mcs import Mcs, McsInvariantError, SoftSet, check_witness_bounds, extract_mcs
+from .mcs import (
+    LadderSoftSet,
+    Mcs,
+    McsInvariantError,
+    PreparedObjective,
+    check_witness_bounds,
+    extract_mcs,
+)
 from .model import (
     Instance,
     LinearExpr,
@@ -114,7 +121,9 @@ class IterationTrace:
     ``objective_clauses`` counts the threshold literals created in the
     iteration's solver, over every objective ladder, up to the end of the
     iteration (the solver's linear sums propagate them without clauses; the
-    field keeps its name in schema 1).
+    field keeps its name in schema 1).  A complete domain creates only the
+    thresholds asked for: those next to each clause-D witness's value, those
+    of the region blocks and those of the walk.
     """
 
     seq: int
@@ -145,28 +154,10 @@ _INFEASIBLE = ApproxResult((), (), None, False, True, ())
 
 
 @dataclass
-class PreparedObjective:
-    """One objective wired into a solver: its expression, its soft thresholds
-    as ``(d, literal for f < d)`` pairs in ascending ``d``, and the literal
-    lookup for any ``d``."""
-
-    expr: LinearExpr
-    thresholds: Tuple[Tuple[int, int], ...]
-    encode_lt: Callable[[int], int]
-
-
-@dataclass
 class McsApproxOutcome:
     records: List[SolutionRecord]
     lower_bounds: List[Point]
     completed: bool
-
-
-def _prepare_objective(expr: LinearExpr, ladder: ObjectiveLadder,
-                       domain: Sequence[int]) -> PreparedObjective:
-    """Encode the thresholds of ``domain``, in order, on ``ladder``."""
-    return PreparedObjective(expr, tuple((d, ladder.encode_lt(d)) for d in domain),
-                             ladder.encode_lt)
 
 
 def _region(prepared: Sequence[PreparedObjective], point: Point) -> List[int]:
@@ -181,7 +172,7 @@ def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
     the record of its checked witness: the assignment and its image under the
     *original* objectives.  The caller blocks each MCS before asking for the
     next; SolveBudgetExceeded passes through."""
-    softs = SoftSet(tuple(prep.thresholds for prep in prepared))
+    softs = LadderSoftSet(tuple(prepared))
     while (mcs := extract_mcs(solver, softs, assumptions)) is not None:
         assignment = tuple(1 if v == 1 else 0 for v in mcs.model[1:instance.num_vars + 1])
         check_witness_bounds(mcs, [evaluate(prep.expr, assignment) for prep in prepared],
@@ -284,10 +275,11 @@ def _constrained_solver(instance: Instance,
 
 def _complete_ladder(encoder: Encoder, index: int, expr: LinearExpr) -> PreparedObjective:
     """Ladder of ``expr`` whose domain is every attainable value plus one
-    past the largest."""
+    past the largest.  It creates no threshold: extraction asks for those
+    next to each witness's value, and region blocks for theirs."""
     ladder = encode_objective(encoder, index, expr)
     reachable = ladder.reachable_values()
-    return _prepare_objective(expr, ladder, reachable + [reachable[-1] + 1])
+    return PreparedObjective(expr, tuple(reachable) + (reachable[-1] + 1,), ladder.encode_lt)
 
 
 @dataclass
@@ -373,7 +365,8 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
 
     Each iteration rounds every objective onto the current ratio's weight
     grid and encodes the rounded objectives, with complete threshold
-    domains, into a fresh solver.  It blocks the regions weakly dominated by
+    domains whose thresholds are created as extraction asks for them, into
+    a fresh solver.  It blocks the regions weakly dominated by
     the rounded images of known solutions, which also seed its lower bounds,
     and runs the MCS enumerator, walking each witness under lazy ladders of
     the original objectives unless the rounding is the identity.  Stops when
@@ -427,9 +420,14 @@ def intre_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
 
     def prepare(ratio, records, fresh):
-        prepared = [_prepare_objective(f, ladder,
-                                       compute_domain(f.lower_bound, f.upper_bound, ratio))
-                    for f, ladder in zip(instance.objectives, ladders)]
+        prepared = []
+        for f, ladder in zip(instance.objectives, ladders):
+            domain = compute_domain(f.lower_bound, f.upper_bound, ratio)
+            # the whole grid up front: creating it on demand moves the search,
+            # and with it the lower bounds of an iteration
+            for d in domain:
+                ladder.encode_lt(d)
+            prepared.append(PreparedObjective(f, domain, ladder.encode_lt))
         for rec in fresh:
             solver.add_clause(_region(prepared, rec.image))
         return _Iteration(solver, prepared, [rec.image for rec in records],

@@ -6,10 +6,18 @@ repeatedly add the disjunction of the falsified ones (guarded by a fresh
 selector so it can be retired; the solver has no deletion) and re-solve
 with the satisfied literals as assumptions.  On UNSAT the falsified set is
 a minimal correction subset and the last model is a corresponding witness.
-Soft literals are the unary thresholds of each objective, the falsified set
-per objective must be a downward-closed prefix, and the representative /
-successor points are the largest falsified and smallest satisfied
-thresholds.
+Soft literals are the unary thresholds ``f < d`` of each objective, the
+falsified set per objective is a downward-closed prefix of its threshold
+domain, and the representative / successor points are the largest
+falsified and smallest satisfied thresholds.
+
+The loop reads a model's prefix length per objective, its cut, from one of
+two soft sets.  A ``SoftSet`` holds explicit ``(d, literal)`` pairs and
+scans their values.  A ``LadderSoftSet`` holds a domain and a threshold
+ladder per objective and reads the cut off the objective's value in the
+model; a round asks the ladder for just the two thresholds next to each
+cut, so a complete domain's thresholds are created only as rounds reach
+them.  Each round checks its witness against the literals it asks for.
 
 ``extract_mcs_literals`` adapts plain unit softs to that loop: each soft is
 one objective whose only free threshold is the soft itself.
@@ -17,10 +25,11 @@ one objective whose only free threshold is the soft itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .model import Point
+from .model import LinearExpr, Point
 from .sat import SatSolver
 
 
@@ -43,6 +52,89 @@ class SoftSet:
     def flat_literals(self) -> List[int]:
         return [lit for pairs in self.per_objective for _, lit in pairs]
 
+    def threshold(self, k: int, pos: int) -> int:
+        return self.per_objective[k][pos][0]
+
+    def literal(self, k: int, pos: int) -> int:
+        return self.per_objective[k][pos][1]
+
+    def cuts(self, model: Sequence[int]) -> List[int]:
+        """Per objective, the count of falsified thresholds in the model.
+
+        Also verifies the model is prefix-consistent: falsified thresholds
+        are exactly the leading ones (the encoding-level mirror of ladder
+        monotonicity).
+        """
+        cuts = []
+        for k, pairs in enumerate(self.per_objective):
+            cut = None
+            for pos, (_, lit) in enumerate(pairs):
+                true = (model[abs(lit)] == 1) == (lit > 0)
+                if cut is None:
+                    if true:
+                        cut = pos
+                elif not true:
+                    raise McsInvariantError(
+                        f"objective {k}: threshold values are not monotone "
+                        f"(falsified at position {pos} after satisfied at {cut})"
+                    )
+            if cut is None:
+                raise McsInvariantError(f"objective {k}: top sentinel threshold falsified")
+            if cut == 0:
+                raise McsInvariantError(
+                    f"objective {k}: lowest threshold satisfied (must always fail)"
+                )
+            cuts.append(cut)
+        return cuts
+
+
+@dataclass
+class PreparedObjective:
+    """One objective wired into a solver: its expression, the domain of its
+    soft thresholds ``f < d`` in ascending ``d``, and ``encode_lt(d)``, the
+    literal for any ``d``, created on first request."""
+
+    expr: LinearExpr
+    domain: Tuple[int, ...]
+    encode_lt: Callable[[int], int]
+
+
+def expr_value(expr: LinearExpr, model: Sequence[int]) -> int:
+    """Value of ``expr`` in a solver model (+1/-1 per var, index 0 unused)."""
+    return expr.constant + sum(c for c, lit in expr.terms
+                               if (model[lit.var] == 1) != lit.negated)
+
+
+@dataclass
+class LadderSoftSet:
+    """Per-objective soft thresholds behind a ladder: a model's cut is read
+    from the objective's value, and a literal is asked for only when a
+    clause-D round needs it."""
+
+    per_objective: Tuple[PreparedObjective, ...]
+
+    def threshold(self, k: int, pos: int) -> int:
+        return self.per_objective[k].domain[pos]
+
+    def literal(self, k: int, pos: int) -> int:
+        prep = self.per_objective[k]
+        return prep.encode_lt(prep.domain[pos])
+
+    def cuts(self, model: Sequence[int]) -> List[int]:
+        """Per objective, the count of domain values at or below its value in
+        the model: the thresholds ``f < d`` it falsifies."""
+        cuts = []
+        for k, prep in enumerate(self.per_objective):
+            value = expr_value(prep.expr, model)
+            cut = bisect_right(prep.domain, value)
+            if not 0 < cut < len(prep.domain):
+                raise McsInvariantError(
+                    f"objective {k}: value {value} outside the threshold domain "
+                    f"[{prep.domain[0]}, {prep.domain[-1]})"
+                )
+            cuts.append(cut)
+        return cuts
+
 
 @dataclass
 class Mcs:
@@ -55,39 +147,24 @@ class Mcs:
     rounds: int  # clause-D rounds, the last (unsatisfiable) one included
 
 
-def _threshold_cuts(model: Sequence[int], softs: SoftSet) -> List[int]:
-    """Per objective, the count of falsified thresholds in the model.
-
-    Also verifies the model is prefix-consistent: falsified thresholds are
-    exactly the leading ones (the encoding-level mirror of ladder
-    monotonicity).
-    """
-    cuts = []
-    for k, pairs in enumerate(softs.per_objective):
-        cut = None
-        for pos, (_, lit) in enumerate(pairs):
-            true = (model[abs(lit)] == 1) == (lit > 0)
-            if cut is None:
-                if true:
-                    cut = pos
-            elif not true:
+def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence[int],
+                    moved: Sequence[bool]) -> None:
+    """Verify that ``model`` sets every ``hold`` literal true and each
+    ``improve`` literal true exactly where its objective's cut ``moved``
+    below the one the literals were asked for; a literal created after the
+    model is skipped."""
+    for k, (up, keep, down) in enumerate(zip(improve, hold, moved)):
+        for lit, want, name in ((up, down, "improve"), (keep, True, "hold")):
+            if abs(lit) < len(model) and ((model[abs(lit)] == 1) == (lit > 0)) != want:
                 raise McsInvariantError(
-                    f"objective {k}: threshold values are not monotone "
-                    f"(falsified at position {pos} after satisfied at {cut})"
+                    f"objective {k}: {name} literal {lit} is {not want} in a model "
+                    f"whose value puts it {want}"
                 )
-        if cut is None:
-            raise McsInvariantError(f"objective {k}: top sentinel threshold falsified")
-        if cut == 0:
-            raise McsInvariantError(
-                f"objective {k}: lowest threshold satisfied (must always fail)"
-            )
-        cuts.append(cut)
-    return cuts
 
 
 def extract_mcs(
     solver: SatSolver,
-    softs: SoftSet,
+    softs: Union[SoftSet, LadderSoftSet],
     assumptions: Sequence[int] = (),
 ) -> Optional[Mcs]:
     """Extract one MCS over objective-threshold softs, with structure checks.
@@ -99,38 +176,42 @@ def extract_mcs(
     objective.  Each round therefore solves under p+1 assumptions with a
     (p+1)-literal guarded disjunction, instead of dragging every soft
     around.  Semantics are unchanged from literal clause-D.
+
+    The witness each round starts from must set its ``hold`` literals true
+    and its ``improve`` literals false; the model the round finds must set
+    every ``hold`` literal true, an ``improve`` literal true exactly where
+    its cut moved, and must shrink the cuts.  Any breach raises
+    McsInvariantError.
     """
     base = list(assumptions)
     if not solver.solve(base):
         return None
-    model = solver.model
-    cuts = _threshold_cuts(model, softs)
-    witness = tuple(model)
-    pairs_by_obj = softs.per_objective
+    witness = tuple(solver.model)
+    cuts = softs.cuts(witness)
     rounds = 0
     while True:
         rounds += 1
         # disjunction of falsified softs == some largest-falsified threshold true
-        improve = [pairs[cut - 1][1] for pairs, cut in zip(pairs_by_obj, cuts)]
-        hold = [pairs[cut][1] for pairs, cut in zip(pairs_by_obj, cuts)]
+        improve = [softs.literal(k, cut - 1) for k, cut in enumerate(cuts)]
+        hold = [softs.literal(k, cut) for k, cut in enumerate(cuts)]
+        _check_literals(witness, improve, hold, [False] * len(cuts))
         selector = solver.new_var()
         solver.add_clause([-selector] + improve)
         sat = solver.solve(base + [selector] + hold)
         solver.add_clause([-selector])
         if not sat:
             break
-        model = solver.model
-        new_cuts = _threshold_cuts(model, softs)
+        model = tuple(solver.model)
+        new_cuts = softs.cuts(model)
         if not all(n <= c for n, c in zip(new_cuts, cuts)) or new_cuts == cuts:
             raise McsInvariantError("clause-D round did not shrink the falsified set")
+        _check_literals(model, improve, hold, [n < c for n, c in zip(new_cuts, cuts)])
         cuts = new_cuts
-        witness = tuple(model)
-    falsified = tuple(
-        tuple(pairs[pos][0] for pos in range(cut))
-        for pairs, cut in zip(pairs_by_obj, cuts)
-    )
-    rep = tuple(pairs[cut - 1][0] for pairs, cut in zip(pairs_by_obj, cuts))
-    succ = tuple(pairs[cut][0] for pairs, cut in zip(pairs_by_obj, cuts))
+        witness = model
+    falsified = tuple(tuple(softs.threshold(k, pos) for pos in range(cut))
+                      for k, cut in enumerate(cuts))
+    rep = tuple(softs.threshold(k, cut - 1) for k, cut in enumerate(cuts))
+    succ = tuple(softs.threshold(k, cut) for k, cut in enumerate(cuts))
     return Mcs(falsified, rep, succ, witness, rounds)
 
 

@@ -534,6 +534,8 @@ class SatSolver:
                             lin.dirty = True
                             dirty.append(lin)
                 ws = watches[fl]
+                if not ws:
+                    continue
                 j = 0
                 visit = iter(ws)
                 for entry in visit:

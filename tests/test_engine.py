@@ -161,18 +161,23 @@ class TestCoefficientDriver:
             (1, 17), (2, 13), (4, 9), (6, 5), (8, 1)]
 
     def test_per_iteration_sizes_on_covering_instance(self):
-        # each iteration's solver creates one threshold literal per attainable
-        # value above the minimum of each rounded objective: objective 1
-        # rounds to itself at every ratio (20 such values), objective 2 keeps
-        # more distinct weights as the ratio falls; walking the one MCS found
-        # at ratios 11 and 2 asks for 4 thresholds of the original objectives
+        # each iteration's solver creates only the threshold literals asked
+        # for, not one per attainable value of each rounded objective (which
+        # would be 20 + 56, 20 + 155, 20 + 779 and 20 + 802 here).  At ratio
+        # 11 the four clause-D rounds of the one MCS ask for 11 next to their
+        # witnesses' values; at ratio 2 the region block of the known record
+        # and one round ask for 5; walking each of those MCSs' witnesses asks
+        # for 4 thresholds of the original objectives.  At ratios 11/10 and
+        # 101/100 only the region block of the known record asks, for one
+        # threshold per objective, and no MCS is left
         result = core_solve(generate_mscp(20, 6, 2, seed=5),
                             RatioSchedule(start=11, divisor=10))
         assert [(t.ratio, t.objective_clauses, t.mcs_count) for t in result.trace] == [
-            (11, 20 + 56 + 4, 1), (2, 20 + 155 + 4, 1), (Fraction(11, 10), 20 + 779, 0),
-            (Fraction(101, 100), 20 + 802, 0)]
+            (11, 11 + 4, 1), (2, 5 + 4, 1), (Fraction(11, 10), 2, 0),
+            (Fraction(101, 100), 2, 0)]
         assert result.warranted_ratio == 1
         assert len(result.records) == 1
+        assert sorted(result.lower_bounds) == [(3, 45)]
 
 
 FRONT = [(1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]

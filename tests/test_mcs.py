@@ -2,15 +2,20 @@ import random
 
 import pytest
 
+from mobosat import mcs as mcs_module
 from mobosat.encode import Encoder, encode_instance_constraints, encode_objective
+from mobosat.io import generate_mscp
 from mobosat.mcs import (
+    LadderSoftSet,
     McsInvariantError,
+    PreparedObjective,
     SoftSet,
     check_witness_bounds,
     extract_mcs,
     extract_mcs_literals,
 )
 from mobosat.model import evaluate
+from mobosat.oracle import brute_force_pareto
 from mobosat.sat import SatSolver
 
 
@@ -140,6 +145,85 @@ class TestThresholdMcs:
         assert all(len(f) >= 1 for f in mcs.falsified)
         for k, falsified in enumerate(mcs.falsified):
             assert falsified[0] == per_obj[k][0][0]
+
+
+def complete_domains(instance, eager):
+    """A solver holding ``instance``'s constraints and one prepared objective
+    per objective over its complete domain; ``eager`` creates every
+    threshold up front."""
+    solver = SatSolver()
+    encoder = Encoder(solver)
+    encode_instance_constraints(encoder, instance)
+    prepared = []
+    for k, f in enumerate(instance.objectives):
+        ladder = encode_objective(encoder, k, f, eager=eager)
+        reachable = ladder.reachable_values()
+        prepared.append(PreparedObjective(f, tuple(reachable) + (reachable[-1] + 1,),
+                                          ladder.encode_lt))
+    return solver, prepared
+
+
+def enumerate_representatives(solver, prepared, softs):
+    """Every MCS's representative, each region blocked once found."""
+    reps = set()
+    while (mcs := extract_mcs(solver, softs)) is not None:
+        reps.add(mcs.representative)
+        solver.add_clause([prep.encode_lt(d) for prep, d in zip(prepared, mcs.representative)])
+    return reps
+
+
+class TestLadderSoftSet:
+    def test_same_representatives_as_explicit_pairs(self, unconstrained_biobjective):
+        instances = [unconstrained_biobjective] + [
+            generate_mscp(n, m, p, seed) for n, m, p, seed in
+            ((8, 3, 2, 1), (10, 4, 2, 2), (10, 4, 3, 1), (12, 5, 3, 3))]
+        for instance in instances:
+            solver, prepared = complete_domains(instance, eager=False)
+            by_value = enumerate_representatives(solver, prepared, LadderSoftSet(tuple(prepared)))
+            solver, prepared = complete_domains(instance, eager=True)
+            pairs = SoftSet(tuple(tuple((d, prep.encode_lt(d)) for d in prep.domain)
+                                  for prep in prepared))
+            by_literal = enumerate_representatives(solver, prepared, pairs)
+            assert by_value == by_literal == set(brute_force_pareto(instance).pareto_front)
+
+    def test_creates_only_the_thresholds_next_to_each_cut(self, unconstrained_biobjective):
+        solver, prepared = complete_domains(unconstrained_biobjective, eager=False)
+        mcs = extract_mcs(solver, LadderSoftSet(tuple(prepared)))
+        # the first witness sets every variable false, already the front point
+        # (1, 22): its one round asks for f1 < 1, f1 < 2, f2 < 22 and f2 < 23,
+        # two of them constants
+        assert mcs.representative == (1, 22)
+        assert mcs.rounds == 1
+        assert solver.num_thresholds == 2
+
+    def test_corrupted_hold_literal_raises(self, unconstrained_biobjective):
+        # the fifth MCS, (7, 5), takes a satisfiable round; its model is
+        # changed to falsify that round's first hold literal
+        solver, prepared = complete_domains(unconstrained_biobjective, eager=False)
+        solve = solver.solve
+
+        def corrupting(assumptions=()):
+            sat = solve(assumptions)
+            if sat and assumptions:
+                hold = abs(assumptions[1])
+                solver.model[hold] = -solver.model[hold]
+            return sat
+
+        solver.solve = corrupting
+        with pytest.raises(McsInvariantError, match="hold literal"):
+            enumerate_representatives(solver, prepared, LadderSoftSet(tuple(prepared)))
+
+    def test_corrupted_value_reader_raises(self, unconstrained_biobjective, monkeypatch):
+        # every threshold exists up front, so the witness of each round sets
+        # the literals asked for: reading one past f1's value puts f1's cut
+        # above a threshold the witness satisfies
+        f1 = unconstrained_biobjective.objectives[0]
+        read = mcs_module.expr_value
+        monkeypatch.setattr(mcs_module, "expr_value",
+                            lambda expr, model: read(expr, model) + (expr == f1))
+        solver, prepared = complete_domains(unconstrained_biobjective, eager=True)
+        with pytest.raises(McsInvariantError, match="improve literal"):
+            extract_mcs(solver, LadderSoftSet(tuple(prepared)))
 
 
 class TestSoftSet:

@@ -7,7 +7,10 @@ Usage:
 Imports ``mobosat`` from ``CHECKOUT/src`` and the anytime benchmark pool
 from ``CHECKOUT/perfbench/workloads.py``; ``CHECKOUT`` defaults to the
 checkout holding this file.  Prints one line per case: a sha256 prefix of
-the result JSON (of the efficient records for ``enumerate_efficient_set``),
+the result JSON (of the efficient records for ``enumerate_efficient_set``);
+one of the outcome alone, that is the sorted images, the sorted lower
+bounds, the warranted ratio and the truncated flag (the sorted records and
+whether enumeration ran to exhaustion for ``enumerate_efficient_set``);
 then the counters summed over every solver the case built, then the
 threshold literals (``Encoder.objective_clauses``) summed over every
 encoder it built.
@@ -24,6 +27,14 @@ its parent:
     python3 tools/fingerprint.py > new.txt
     python3 tools/fingerprint.py ../parent > old.txt
     diff old.txt new.txt
+
+A change that moves the search but not the results may change the result
+digest and the counters, since the JSON holds the order in which records
+were found and each iteration's threshold count; it must keep the outcome
+digest, the second column, of every case whose search it leaves a choice of
+witness only among equally good ones.  Where the witnesses themselves may
+differ, as on the ``core(11)->11`` cases, whose records CoRe's walk reaches
+from other witnesses, compare the lower bounds and the ratio in the JSON.
 """
 
 import argparse
@@ -37,13 +48,22 @@ SMALL_COVER = ((8, 3, 2), (10, 4, 2), (10, 4, 3), (12, 5, 2), (12, 4, 3), (14, 5
 
 
 def _cases(engine, io, workloads):
-    """(name, thunk) pairs; a thunk returns the bytes to hash."""
+    """(name, thunk) pairs; a thunk returns the bytes to hash and the outcome."""
 
     def result_json(solve, instance, schedule):
-        return lambda: io.write_result(solve(instance, schedule), "json")
+        def run():
+            result = solve(instance, schedule)
+            return io.write_result(result, "json"), (
+                sorted(result.images), sorted(result.lower_bounds),
+                result.warranted_ratio, result.truncated)
+        return run
 
     def efficient(instance):
-        return lambda: repr(engine.enumerate_efficient_set(instance)).encode()
+        def run():
+            records, complete = engine.enumerate_efficient_set(instance)
+            return repr((records, complete)).encode(), (
+                sorted((r.assignment, r.image) for r in records), complete)
+        return run
 
     for i, instance in enumerate(workloads.conflict_pool()):
         yield (f"pool{i} core(11,10)", result_json(
@@ -54,8 +74,8 @@ def _cases(engine, io, workloads):
             engine.RatioSchedule(start=101, divisor=10, target=workloads.TARGET)))
     for args in workloads.COVER_ARGS:
         instance = io.generate_mscp(*args)
-        yield f"cover{args} exact", lambda instance=instance: io.write_result(
-            engine.solve_exact(instance), "json")
+        yield f"cover{args} exact", result_json(
+            lambda instance, _: engine.solve_exact(instance), instance, None)
     yield "cover(20, 6, 2, 5) core(11,10)->1", result_json(
         engine.core_solve, io.generate_mscp(20, 6, 2, 5),
         engine.RatioSchedule(start=11, divisor=10))
@@ -101,13 +121,15 @@ def main() -> None:
     for name, thunk in _cases(engine, io, workloads):
         built.clear()
         encoders.clear()
-        digest = hashlib.sha256(thunk()).hexdigest()[:16]
+        data, outcome = thunk()
+        digest = hashlib.sha256(data).hexdigest()[:16]
+        outcome_digest = hashlib.sha256(repr(outcome).encode()).hexdigest()[:16]
         totals = [sum(s.stats[c] for s in built) for c in COUNTERS]
         totals.append(sum(s.num_vars for s in built))
         totals.append(sum(s.num_clauses for s in built))
         totals.append(sum(len(s.learnt_idxs) for s in built))
         totals.append(sum(e.objective_clauses for e in encoders))
-        print(name, digest, *totals)
+        print(name, digest, outcome_digest, *totals)
 
 
 if __name__ == "__main__":
