@@ -29,12 +29,12 @@ its parent:
     diff old.txt new.txt
 
 A change that moves the search but not the results may change the result
-digest and the counters, since the JSON holds the order in which records
-were found and each iteration's threshold count; it must keep the outcome
-digest, the second column, of every case whose search it leaves a choice of
-witness only among equally good ones.  Where the witnesses themselves may
-differ, as on the ``core(11)->11`` cases, whose records CoRe's walk reaches
-from other witnesses, compare the lower bounds and the ratio in the JSON.
+digest and the counters, since the JSON also holds the order in which
+records were found and each iteration's threshold count; the outcome
+digest, the second column, must stay.  Where the records depend on which
+witness an MCS returns, as CoRe's walked records do on the two
+``core(11)->11`` cases, the outcome digest may move too: compare the lower
+bounds and the ratio in the JSON there.
 """
 
 import argparse
@@ -74,8 +74,7 @@ def _cases(engine, io, workloads):
             engine.RatioSchedule(start=101, divisor=10, target=workloads.TARGET)))
     for args in workloads.COVER_ARGS:
         instance = io.generate_mscp(*args)
-        yield f"cover{args} exact", result_json(
-            lambda instance, _: engine.solve_exact(instance), instance, None)
+        yield f"cover{args} exact", result_json(engine.solve_exact, instance, None)
     yield "cover(20, 6, 2, 5) core(11,10)->1", result_json(
         engine.core_solve, io.generate_mscp(20, 6, 2, 5),
         engine.RatioSchedule(start=11, divisor=10))
