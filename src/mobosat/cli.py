@@ -155,6 +155,8 @@ def _cmd_enumerate(args) -> int:
         ],
     }
     _emit(iomod._json_bytes(payload), args.out)
+    if completed and not records:
+        return EXIT_INFEASIBLE
     return EXIT_OK if completed else EXIT_TRUNCATED
 
 

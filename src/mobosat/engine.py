@@ -14,9 +14,9 @@ A driver only prepares each iteration:
   rounds the objectives onto the ratio's weight grid and blocks the regions
   around known solutions under that rounding; an identity rounding proves
   the front exact.  Unless the rounding is the identity, each witness is
-  then walked, under the original objectives, to a point that dominates
-  it (``_pareto_walk``), so the records do not depend on which witness an
-  MCS happens to return;
+  then walked to a point that dominates it (``_pareto_walk``): clause-D
+  rounds over complete domains of the original objectives, so the records
+  do not depend on which witness an MCS happens to return;
 * the interval driver encodes the original objectives once into one
   growing solver, thins the threshold domains to the ratio's grid, and
   permanently blocks the regions at the images of the previous iteration's
@@ -43,13 +43,14 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import model
 from .approx import approx_coefficients, as_ratio, compute_domain
-from .encode import Encoder, ObjectiveLadder, encode_instance_constraints, encode_objective
+from .encode import Encoder, encode_instance_constraints, encode_objective
 from .mcs import (
     LadderSoftSet,
     Mcs,
     McsInvariantError,
     PreparedObjective,
     check_witness_bounds,
+    clause_d,
     extract_mcs,
 )
 from .model import (
@@ -166,69 +167,60 @@ def _region(prepared: Sequence[PreparedObjective], point: Point) -> List[int]:
     return [prep.encode_lt(d) for prep, d in zip(prepared, point)]
 
 
+def _record(instance: Instance, values: Sequence[int]) -> SolutionRecord:
+    """The record of a solver model: its assignment of the instance's
+    variables and the image under the *original* objectives."""
+    assignment = tuple(1 if v == 1 else 0 for v in values[1:instance.num_vars + 1])
+    return SolutionRecord(assignment, model.image(instance, assignment))
+
+
 def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instance: Instance,
                assumptions: Sequence[int], complete: bool) -> Iterator[Tuple[Mcs, SolutionRecord]]:
     """Extract MCSs over the prepared thresholds until none is left, each with
-    the record of its checked witness: the assignment and its image under the
-    *original* objectives.  The caller blocks each MCS before asking for the
-    next; SolveBudgetExceeded passes through."""
+    the record of its checked witness.  The caller blocks each MCS before
+    asking for the next; SolveBudgetExceeded passes through."""
     softs = LadderSoftSet(tuple(prepared))
     while (mcs := extract_mcs(solver, softs, assumptions)) is not None:
-        assignment = tuple(1 if v == 1 else 0 for v in mcs.model[1:instance.num_vars + 1])
-        check_witness_bounds(mcs, [evaluate(prep.expr, assignment) for prep in prepared],
+        record = _record(instance, mcs.model)
+        check_witness_bounds(mcs, [evaluate(prep.expr, record.assignment) for prep in prepared],
                              complete=complete)
-        yield mcs, SolutionRecord(assignment, model.image(instance, assignment))
+        yield mcs, record
 
 
-def _pareto_walk(solver: SatSolver, ladders: Sequence[ObjectiveLadder], instance: Instance,
-                 assumptions: Sequence[int], record: SolutionRecord) -> Tuple[SolutionRecord, int]:
-    """Walk ``record`` to one whose image dominates it, one solve per step.
+def _pareto_walk(solver: SatSolver, walk: Sequence[PreparedObjective], instance: Instance,
+                 assumptions: Sequence[int], start: Sequence[int]) -> Tuple[SolutionRecord, int]:
+    """Walk the solver model ``start`` to one whose image dominates it.
 
-    A step with image ``z`` asks for ``f_j < z_j + 1`` on every objective
-    and, through a selector-guarded clause, ``f_k < z_k`` on some; the
-    ``ladders`` are of the original objectives.  The walk stops at the
-    first unsatisfiable step, or at the solver's deadline, and returns the
-    last record and the number of steps that moved (the Pareto-MCS step of
-    Terra-Neves, Lynce & Manquinho, SAT 2017).
+    The walk runs ``clause_d`` over ``walk``, complete domains of the
+    original objectives: a round from image ``z`` asks for ``f_j < z_j + 1``
+    on every objective and ``f_k < z_k`` on some.  It stops at the first
+    unsatisfiable round, or at the solver's deadline, and returns the record
+    of the last model and the number of rounds that found one (the
+    Pareto-MCS step of Terra-Neves, Lynce & Manquinho, SAT 2017).
     """
+    rounds = clause_d(solver, LadderSoftSet(tuple(walk)), assumptions, start)
+    last, _ = next(rounds)  # the start itself
     steps = 0
     try:
-        while True:
-            z = record.image
-            hold = [ladder.encode_lt(zk + 1) for ladder, zk in zip(ladders, z)]
-            selector = solver.new_var()
-            solver.add_clause([-selector] + [ladder.encode_lt(zk) for ladder, zk in zip(ladders, z)])
-            try:
-                sat = solver.solve([*assumptions, selector, *hold])
-            finally:
-                solver.add_clause([-selector])
-            if not sat:
-                break
-            assignment = solver.model_assignment(instance.num_vars)
-            record = SolutionRecord(assignment, model.image(instance, assignment))
+        for last, _ in rounds:
             steps += 1
     except SolveBudgetExceeded:
         pass
-    return record, steps
+    return _record(instance, last), steps
 
 
-def mcs_approx(
-    solver: SatSolver,
-    prepared: Sequence[PreparedObjective],
-    instance: Instance,
-    guard: Optional[int] = None,
-    complete: bool = False,
-    walk: Optional[Sequence[ObjectiveLadder]] = None,
-) -> McsApproxOutcome:
+def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instance: Instance,
+               guard: Optional[int] = None, complete: bool = False,
+               walk: Optional[Sequence[PreparedObjective]] = None) -> McsApproxOutcome:
     """Enumerate MCSs until exhaustion or the solver's deadline, blocking each one.
 
     Records carry the witness assignment and its image under the *original*
     objectives; lower bounds are the representative points.  With ``walk``,
-    ladders of the original objectives, each witness is first walked to a
-    record that dominates it.  Region blocks are guarded by ``guard`` when
-    given (so the caller can retire them).  Each MCS logs one DEBUG line
-    with the solver work it took: solve calls, conflicts, propagations,
-    clause-D rounds and walk steps.
+    complete ``PreparedObjective``s of the original objectives, each witness
+    is first walked to a record that dominates it.  Region blocks are
+    guarded by ``guard`` when given (so the caller can retire them).  Each
+    MCS logs one DEBUG line with the solver work it took: solve calls,
+    conflicts, propagations, clause-D rounds and walk steps.
     """
     records: List[SolutionRecord] = []
     reps: List[Point] = []
@@ -244,7 +236,7 @@ def mcs_approx(
                 )
             steps = 0
             if walk is not None:
-                record, steps = _pareto_walk(solver, walk, instance, assumptions, record)
+                record, steps = _pareto_walk(solver, walk, instance, assumptions, mcs.model)
             records.append(record)
             reps.append(rep)
             solver.add_clause([-a for a in assumptions] + _region(prepared, rep))
@@ -292,7 +284,7 @@ class _Iteration:
     shared: bool  # the solver outlives the iteration: guard its region blocks
     complete: bool  # every attainable value is a threshold
     proves_exact: Callable[[McsApproxOutcome], bool]
-    walk: Optional[List[ObjectiveLadder]] = None  # original objectives' ladders
+    walk: Optional[List[PreparedObjective]] = None  # original objectives, complete
 
 
 def _reapproximate(instance: Instance, schedule: RatioSchedule,
@@ -341,6 +333,8 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule,
         if not outcome.completed:
             truncated = True
             break
+        if not records:  # a completed iteration finds a record whenever one exists
+            return _INFEASIBLE
         lower_committed = lower_iter
         warranted = ratio
         if step.proves_exact(outcome):
@@ -368,8 +362,8 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     domains whose thresholds are created as extraction asks for them, into
     a fresh solver.  It blocks the regions weakly dominated by
     the rounded images of known solutions, which also seed its lower bounds,
-    and runs the MCS enumerator, walking each witness under lazy ladders of
-    the original objectives unless the rounding is the identity.  Stops when
+    and runs the MCS enumerator, walking each witness over complete domains
+    of the original objectives unless the rounding is the identity.  Stops when
     the rounding is the identity (the front is then exact), the target ratio
     is warranted, or the budget runs out.
     """
@@ -394,7 +388,7 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
             z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
             solver.add_clause(_region(prepared, z))
             seeds.append(z)
-        walk = None if exact else [encode_objective(encoder, k, f)
+        walk = None if exact else [_complete_ladder(encoder, k, f)
                                    for k, f in enumerate(instance.objectives)]
         return _Iteration(solver, prepared, seeds, shared=False, complete=True,
                           proves_exact=lambda outcome: exact, walk=walk)

@@ -1,23 +1,22 @@
-"""Minimal correction subset extraction with one clause-D loop.
+"""Minimal correction subset extraction and the Pareto walk: one clause-D loop.
 
-``extract_mcs`` implements the "clause D" strategy: take any model of the
-hard clauses, split the soft literals into satisfied and falsified, then
-repeatedly add the disjunction of the falsified ones (guarded by a fresh
-selector so it can be retired; the solver has no deletion) and re-solve
-with the satisfied literals as assumptions.  On UNSAT the falsified set is
-a minimal correction subset and the last model is a corresponding witness.
-Soft literals are the unary thresholds ``f < d`` of each objective, the
-falsified set per objective is a downward-closed prefix of its threshold
-domain, and the representative / successor points are the largest
-falsified and smallest satisfied thresholds.
+``clause_d`` runs "clause D" rounds from a model of the hard clauses: split
+the soft literals into satisfied and falsified, add the disjunction of the
+falsified ones (guarded by a fresh selector so it can be retired; the
+solver has no deletion) and re-solve with the satisfied literals as
+assumptions, until a round is UNSAT.  Soft literals are the unary
+thresholds ``f < d`` of each objective, the falsified set per objective is
+a downward-closed prefix of its threshold domain, and the representative /
+successor points are the largest falsified and smallest satisfied
+thresholds.  ``extract_mcs`` solves once and runs the rounds to their end,
+which leaves an MCS and its witness; the engine's Pareto walk runs them
+over complete domains of the original objectives.
 
 The loop reads a model's prefix length per objective, its cut, from one of
 two soft sets.  A ``SoftSet`` holds explicit ``(d, literal)`` pairs and
-scans their values.  A ``LadderSoftSet`` holds a domain and a threshold
-ladder per objective and reads the cut off the objective's value in the
-model; a round asks the ladder for just the two thresholds next to each
-cut, so a complete domain's thresholds are created only as rounds reach
-them.  Each round checks its witness against the literals it asks for.
+scans their values.  A ``LadderSoftSet`` reads the cut off the objective's
+value and asks its ladder for just the two thresholds next to each cut, so
+a complete domain's thresholds are created only as rounds reach them.
 
 ``extract_mcs_literals`` adapts plain unit softs to that loop: each soft is
 one objective whose only free threshold is the soft itself.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import LinearExpr, Point
 from .sat import SatSolver
@@ -156,58 +155,63 @@ def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence
     for k, (up, keep, down) in enumerate(zip(improve, hold, moved)):
         for lit, want, name in ((up, down, "improve"), (keep, True, "hold")):
             if abs(lit) < len(model) and ((model[abs(lit)] == 1) == (lit > 0)) != want:
-                raise McsInvariantError(
-                    f"objective {k}: {name} literal {lit} is {not want} in a model "
-                    f"whose value puts it {want}"
-                )
+                raise McsInvariantError(f"objective {k}: {name} literal {lit} is {not want} "
+                                        f"in a model whose value puts it {want}")
 
 
-def extract_mcs(
-    solver: SatSolver,
-    softs: Union[SoftSet, LadderSoftSet],
-    assumptions: Sequence[int] = (),
-) -> Optional[Mcs]:
-    """Extract one MCS over objective-threshold softs, with structure checks.
+def clause_d(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet], base: Sequence[int],
+             witness: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+    """Clause-D rounds from ``witness``, a model of the solver under ``base``.
 
-    Because threshold softs are monotone per objective, the clause-D loop
-    collapses: the satisfied set is summarized by one literal per objective
-    (the smallest satisfied threshold implies all larger ones) and the
-    disjunction of falsified softs by the largest falsified threshold per
-    objective.  Each round therefore solves under p+1 assumptions with a
-    (p+1)-literal guarded disjunction, instead of dragging every soft
-    around.  Semantics are unchanged from literal clause-D.
+    Yields the witness and then the model each round finds, each with its
+    cuts, and ends at the first unsatisfiable round.  Because threshold
+    softs are monotone per objective, the satisfied set is summarized by one
+    literal per objective (the smallest satisfied threshold, ``hold``) and
+    the disjunction of falsified softs by the largest falsified one
+    (``improve``): each round solves under p+1 assumptions with a
+    (p+1)-literal guarded disjunction, with the semantics of literal
+    clause-D.
 
     The witness each round starts from must set its ``hold`` literals true
     and its ``improve`` literals false; the model the round finds must set
     every ``hold`` literal true, an ``improve`` literal true exactly where
     its cut moved, and must shrink the cuts.  Any breach raises
-    McsInvariantError.
+    McsInvariantError.  SolveBudgetExceeded passes through.
     """
-    base = list(assumptions)
-    if not solver.solve(base):
-        return None
-    witness = tuple(solver.model)
+    witness = tuple(witness)
     cuts = softs.cuts(witness)
-    rounds = 0
+    yield witness, cuts
     while True:
-        rounds += 1
         # disjunction of falsified softs == some largest-falsified threshold true
         improve = [softs.literal(k, cut - 1) for k, cut in enumerate(cuts)]
         hold = [softs.literal(k, cut) for k, cut in enumerate(cuts)]
         _check_literals(witness, improve, hold, [False] * len(cuts))
         selector = solver.new_var()
         solver.add_clause([-selector] + improve)
-        sat = solver.solve(base + [selector] + hold)
+        sat = solver.solve([*base, selector, *hold])
         solver.add_clause([-selector])
         if not sat:
-            break
+            return
         model = tuple(solver.model)
         new_cuts = softs.cuts(model)
         if not all(n <= c for n, c in zip(new_cuts, cuts)) or new_cuts == cuts:
             raise McsInvariantError("clause-D round did not shrink the falsified set")
         _check_literals(model, improve, hold, [n < c for n, c in zip(new_cuts, cuts)])
-        cuts = new_cuts
-        witness = model
+        witness, cuts = model, new_cuts
+        yield witness, cuts
+
+
+def extract_mcs(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet],
+                assumptions: Sequence[int] = ()) -> Optional[Mcs]:
+    """Extract one MCS over objective-threshold softs, with structure checks:
+    solve under ``assumptions``, then run ``clause_d`` to its end.  None
+    when the first solve is unsatisfiable."""
+    base = list(assumptions)
+    if not solver.solve(base):
+        return None
+    rounds = 0
+    for witness, cuts in clause_d(solver, softs, base, solver.model):
+        rounds += 1
     falsified = tuple(tuple(softs.threshold(k, pos) for pos in range(cut))
                       for k, cut in enumerate(cuts))
     rep = tuple(softs.threshold(k, cut - 1) for k, cut in enumerate(cuts))

@@ -126,3 +126,15 @@ def infeasible_instance():
         ),
         objectives=(LinearExpr(((1, lit(2)),)),),
     )
+
+
+@pytest.fixture
+def search_refuted_instance():
+    """One clause over x1, x2 against each of their four assignments: no
+    constraint propagates a unit at the root, so only search refutes them."""
+    return Instance(
+        num_vars=2,
+        constraints=tuple(PBConstraint(LinearExpr(((1, a), (1, b))), 1)
+                          for a in (lit(1), nlit(1)) for b in (lit(2), nlit(2))),
+        objectives=(LinearExpr(((1, lit(1)), (1, lit(2)))),),
+    )

@@ -7,6 +7,7 @@ import pytest
 
 import mobosat
 from mobosat.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, EXIT_TRUNCATED, main
+from mobosat.io import write_pbmo
 
 BIOBJECTIVE = """\
 min: 3 x1 3 x2 1 x3 2 x4 1 ;
@@ -75,10 +76,17 @@ class TestSolve:
         assert lines[0].startswith("seq,ratio,")
         assert len(lines) == 3  # header + two iterations
 
-    def test_infeasible_exit_code(self, tmp_path):
+    def test_infeasible_exit_code(self, tmp_path, search_refuted_instance):
         path = tmp_path / "bad.pbmo"
         path.write_text(INFEASIBLE)
         assert main(["solve", str(path), "--out", str(tmp_path / "o.json")]) == EXIT_INFEASIBLE
+        refuted = tmp_path / "refuted.pbmo"
+        refuted.write_text(write_pbmo(search_refuted_instance))
+        for argv in (["solve"], ["solve", "--mode", "interval", "--ratio", "2"],
+                     ["solve", "--mode", "coeff", "--ratio", "2"], ["enumerate-efficient"]):
+            for instance in (path, refuted):
+                code = main([*argv, str(instance), "--out", str(tmp_path / "o.json")])
+                assert code == EXIT_INFEASIBLE, (argv, instance.name)
 
     def test_truncated_exit_code(self, instance_file, tmp_path):
         code = main(["solve", "--mode", "interval", "--ratio", "2",

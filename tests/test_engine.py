@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import random
 import re
@@ -8,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from mobosat import engine
-from mobosat.encode import encode_objective
 from mobosat.engine import (
     RatioSchedule,
+    _complete_ladder,
     _constrained_solver,
     _pareto_walk,
     core_solve,
@@ -183,26 +184,65 @@ class TestCoefficientDriver:
 FRONT = [(1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]
 
 
+def _walk_setup(instance):
+    """A solver for ``instance`` and complete domains of its objectives."""
+    solver, encoder = _constrained_solver(instance, None)
+    return solver, [_complete_ladder(encoder, k, f) for k, f in enumerate(instance.objectives)]
+
+
+def _start(solver, assignment):
+    """A model of ``solver`` that sets the instance's variables to ``assignment``."""
+    assert solver.solve([v + 1 if a else -(v + 1) for v, a in enumerate(assignment)])
+    return tuple(solver.model)
+
+
 class TestParetoWalk:
     def test_walk_reaches_a_dominating_front_point(self, unconstrained_biobjective):
         instance = unconstrained_biobjective
-        solver, encoder = _constrained_solver(instance, None)
-        ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
-        start = SolutionRecord((1, 0, 0, 0), image(instance, (1, 0, 0, 0)))
-        assert start.image == (4, 18)
-        walked, steps = _pareto_walk(solver, ladders, instance, (), start)
-        assert steps >= 1
-        assert walked.image in FRONT and weakly_dominates(walked.image, start.image)
-        assert walked.image == image(instance, walked.assignment)
-        # from a front point the first step is unsatisfiable
-        assert _pareto_walk(solver, ladders, instance, (), walked) == (walked, 0)
+        solver, walk = _walk_setup(instance)
+        for assignment in itertools.product((0, 1), repeat=instance.num_vars):
+            start = SolutionRecord(assignment, image(instance, assignment))
+            walked, steps = _pareto_walk(solver, walk, instance, (), _start(solver, assignment))
+            assert (steps >= 1) == (start.image not in FRONT)
+            assert walked.image in FRONT and weakly_dominates(walked.image, start.image)
+            assert walked.image == image(instance, walked.assignment)
+            # from a front point the first step is unsatisfiable
+            again = _start(solver, walked.assignment)
+            assert _pareto_walk(solver, walk, instance, (), again) == (walked, 0)
 
     def test_walk_stops_at_the_deadline(self, unconstrained_biobjective):
         instance = unconstrained_biobjective
-        solver, encoder = _constrained_solver(instance, time.monotonic() - 1)
-        ladders = [encode_objective(encoder, k, f) for k, f in enumerate(instance.objectives)]
-        start = SolutionRecord((1, 0, 0, 0), (4, 18))
-        assert _pareto_walk(solver, ladders, instance, (), start) == (start, 0)
+        solver, walk = _walk_setup(instance)
+        start = _start(solver, (1, 0, 0, 0))
+        solver.deadline = time.monotonic() - 1
+        assert _pareto_walk(solver, walk, instance, (), start) == (
+            SolutionRecord((1, 0, 0, 0), (4, 18)), 0)
+
+    @pytest.mark.parametrize("corruption", ["stale", "hold"])
+    def test_walk_steps_are_checked(self, unconstrained_biobjective, corruption):
+        # the first satisfiable answer of the walk comes back with the start
+        # model (no move), or with its last assumption, the hold literal of
+        # the last objective, flipped
+        instance = unconstrained_biobjective
+        solver, walk = _walk_setup(instance)
+        start = _start(solver, (1, 0, 0, 0))
+        solve, corrupted = solver.solve, []
+
+        def corrupting_solve(assumptions):
+            sat = solve(assumptions)
+            if sat and not corrupted:
+                corrupted.append(True)
+                if corruption == "stale":
+                    solver.model = list(start)
+                else:
+                    var = abs(assumptions[-1])
+                    solver.model[var] = -solver.model[var]
+            return sat
+
+        solver.solve = corrupting_solve
+        with pytest.raises(McsInvariantError):
+            _pareto_walk(solver, walk, instance, (), start)
+        assert corrupted
 
     def test_coefficient_records_are_walked(self, unconstrained_biobjective):
         result = core_solve(unconstrained_biobjective, schedule(4, divisor=3, target=2))
@@ -358,6 +398,17 @@ class TestBudget:
             RatioSchedule(start=Fraction(2), budget_s=budget)
         with pytest.raises(ValueError):
             enumerate_efficient_set(unconstrained_biobjective, budget_s=budget)
+
+
+class TestInfeasible:
+    def test_instance_refuted_only_by_search(self, search_refuted_instance):
+        instance = search_refuted_instance
+        assert _constrained_solver(instance, None)[0].ok
+        for result in (solve_exact(instance), core_solve(instance, schedule(2)),
+                       intre_solve(instance, schedule(2))):
+            assert result.infeasible and not result.truncated
+            assert result.records == () and result.warranted_ratio is None
+        assert enumerate_efficient_set(instance) == ((), True)
 
 
 class TestDeterminism:
