@@ -12,7 +12,6 @@ the grid, which underestimates the true value by at most a factor of
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
@@ -61,10 +60,11 @@ def weight_grid(min_weight: int, max_weight: int, ratio: Ratio) -> Tuple[int, ..
     roundings both take their values from it.
     """
     ratio = as_ratio(ratio)
+    num, den = ratio.numerator, ratio.denominator
     values = [min_weight]
     current = min_weight
     while current < max_weight:
-        current = max(current + 1, math.floor(ratio * current))
+        current = max(current + 1, num * current // den)  # floor(ratio * current)
         values.append(current)
     return tuple(values)
 

@@ -36,8 +36,11 @@ _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
+    """A syntax error at ``line`` and ``column``, both counted from 1; an
+    error of the whole document has neither and reads as its message alone."""
+
+    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
 
@@ -133,7 +136,7 @@ def parse_pbmo(text: str) -> Instance:
             if not constraint.trivial:
                 constraints.append(constraint)
     if not objectives:
-        raise ParseError("no objective found (need at least one 'min:' line)", 0, 0)
+        raise ParseError("no objective found (need at least one 'min:' line)")
     return Instance(
         num_vars=max_var,
         constraints=tuple(constraints),

@@ -9,6 +9,7 @@ Everything here is an immutable value; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable, Sequence, Tuple
 
 Point = Tuple[int, ...]
@@ -159,20 +160,25 @@ def dominates(z: Sequence[int], z2: Sequence[int]) -> bool:
 def nondominated_filter(items: Iterable, key: Callable = None) -> list:
     """Keep the elements not dominated by any other element.
 
-    Equal points collapse to the earliest inserted one.  ``key`` maps an
-    element to its point (identity by default), so the same filter serves
-    point sets and record sets keyed by image.
+    Equal points collapse to the earliest inserted one, and the survivors
+    keep their input order.  ``key`` maps an element to its point, a tuple
+    (identity by default), so the same filter serves point sets and record
+    sets keyed by image.
     """
-    if key is None:
-        key = lambda item: item
-    kept: list = []
-    for candidate in items:
-        cpoint = key(candidate)
-        if any(weakly_dominates(key(other), cpoint) for other in kept):
-            continue
-        kept = [other for other in kept if not dominates(cpoint, key(other))]
-        kept.append(candidate)
-    return kept
+    items = list(items)
+    first: dict = {}  # point -> index of its earliest element
+    for i, item in enumerate(items):
+        first.setdefault(item if key is None else key(item), i)
+    # a point that dominates another precedes it lexicographically, so each
+    # point is tested only against the survivors before it
+    survivors: list = []
+    for point in sorted(first):
+        for other in survivors:
+            if all(map(le, other, point)):
+                break
+        else:
+            survivors.append(point)
+    return [items[i] for i in sorted(first[point] for point in survivors)]
 
 
 def normalize_terms(raw_terms: Iterable[Tuple[int, Literal]]) -> Tuple[Tuple[Tuple[int, Literal], ...], int]:

@@ -36,8 +36,10 @@ The fast paths rely on these invariants:
   reads the blocker's value to decide unit or conflict and never seeks a
   new watch in it;
 - heap ties are broken by heap layout, so any change to what enters the
-  branching heap, or in which order (the order analysis bumps a clause's
-  literals included), changes the search;
+  branching heap, or in which order, changes the search: ``_cancel_until``
+  re-enters the undone variables in reverse trail order, and ``_analyze``
+  sifts each variable up at its bump, in the order it reads a clause's
+  literals (sifts batched after the bumps give another layout);
 - outside ``solve`` the solver is at decision level 0: every exit of
   ``solve`` (a model, UNSAT, a false assumption, SolveBudgetExceeded, a bad
   assumption) happens at or cancels to level 0 first, so ``add_clause``,
@@ -91,18 +93,6 @@ class _VarOrder:
         self.activity = activity
         self.heap: List[int] = []
         self.pos: List[int] = [-1]  # heap index per var, -1 when out
-
-    def insert(self, codes: Iterable[int]) -> None:
-        """Insert the variables of the literal ``codes``, in order, skipping
-        those already in the heap."""
-        heap, pos = self.heap, self.pos
-        for code in codes:
-            x = code >> 1
-            if pos[x] >= 0:
-                continue
-            pos[x] = len(heap)
-            heap.append(x)
-            self.update(x)
 
     def update(self, var: int) -> None:
         """Sift ``var`` up after its activity grew, if it is in the heap."""
@@ -183,7 +173,7 @@ def _mask(terms: Sequence[Tuple[int, int]]) -> int:
 
 def _bits(mask: int) -> List[int]:
     """Positions of the set bits of ``mask``, ascending."""
-    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+    return [v for v, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 def _tree_size(terms: Sequence[Tuple[int, int]]) -> int:
@@ -342,8 +332,9 @@ class SatSolver:
         self.watches.append([])
         self.lwatch.append([])
         self.lwatch.append([])
-        self.order.pos.append(-1)
-        self.order.insert((var << 1,))
+        # at activity 0 it sits at the end of the heap without a sift
+        self.order.pos.append(len(self.order.heap))
+        self.order.heap.append(var)
         return var
 
     def new_linear(self, terms: Iterable[Tuple[int, int]]) -> _Linear:
@@ -605,13 +596,14 @@ class SatSolver:
         """Propagate one linear sum from its bounds and its tightest assigned
         thresholds; return a conflict clause or None.
 
-        Each implied literal is enqueued with a deferred reason,
+        Each implied literal goes straight onto the trail with a deferred reason,
         ``(sum, literal, threshold literal or -1, side, need, count)``, which
         ``_explain`` turns into a clause only if conflict analysis reads it;
         along the chain that clause is the two threshold literals alone.
         """
-        litval = self.litval
-        enqueue = self._unchecked_enqueue
+        litval, level, reason = self.litval, self.level, self.reason
+        push = self.trail.append
+        current = len(self.trail_lim)
         bounds, ys = lin.bounds, lin.vars
         total = lin.total
         ntrue, nfalse = len(lin.trues), len(lin.falses)
@@ -631,7 +623,9 @@ class SatSolver:
                 why = (lin, code, -1, 0, bounds[e - 1], ntrue)
                 if litval[code] == -1:
                     return self._explain(why)
-                enqueue(code, why)
+                litval[code], litval[code ^ 1] = 1, -1
+                level[code >> 1], reason[code >> 1] = current, why
+                push(code)
         # thresholds above hi are true: imply the lowest of them
         h = bisect_right(bounds, hi)
         t = bisect_left(bounds, tb)
@@ -641,7 +635,9 @@ class SatSolver:
                 why = (lin, code, -1, 1, total - bounds[h] + 1, nfalse)
                 if litval[code] == -1:
                     return self._explain(why)
-                enqueue(code, why)
+                litval[code], litval[code ^ 1] = 1, -1
+                level[code >> 1], reason[code >> 1] = current, why
+                push(code)
         # the chain: below a false threshold all are false, above a true one
         # all are true; each walk stops where an earlier walk began
         fstack, tstack = lin.fstack, lin.tstack
@@ -655,7 +651,9 @@ class SatSolver:
                     why = (lin, code, fcode ^ 1, 0, 0, 0)
                     if litval[code] == -1:
                         return self._explain(why)
-                    enqueue(code, why)
+                    litval[code], litval[code ^ 1] = 1, -1
+                    level[code >> 1], reason[code >> 1] = current, why
+                    push(code)
                 i -= 1
         if len(tstack) > lin.twalked:
             stop = tstack[lin.twalked - 1][0]
@@ -667,7 +665,9 @@ class SatSolver:
                     why = (lin, code, tcode ^ 1, 0, 0, 0)
                     if litval[code] == -1:
                         return self._explain(why)
-                    enqueue(code, why)
+                    litval[code], litval[code ^ 1] = 1, -1
+                    level[code >> 1], reason[code >> 1] = current, why
+                    push(code)
                 i += 1
         # back onto the terms: a literal whose weight would lift lo to tb is
         # false, one whose loss would drop hi below fb is true
@@ -677,14 +677,20 @@ class SatSolver:
                 if w < slack:
                     break
                 if litval[c] == 0:
-                    enqueue(c ^ 1, (lin, c ^ 1, tcode ^ 1, 0, tb - w, ntrue))
+                    why = (lin, c ^ 1, tcode ^ 1, 0, tb - w, ntrue)
+                    litval[c], litval[c ^ 1] = -1, 1
+                    level[c >> 1], reason[c >> 1] = current, why
+                    push(c ^ 1)
         if fcode >= 0:
             slack = hi - fb
             for w, c in lin.terms:
                 if w <= slack:
                     break
                 if litval[c] == 0:
-                    enqueue(c, (lin, c, fcode ^ 1, 1, total - w - fb + 1, nfalse))
+                    why = (lin, c, fcode ^ 1, 1, total - w - fb + 1, nfalse)
+                    litval[c], litval[c ^ 1] = 1, -1
+                    level[c >> 1], reason[c >> 1] = current, why
+                    push(c)
         return None
 
     def _explain(self, why: tuple) -> List[int]:
@@ -712,14 +718,28 @@ class SatSolver:
             return
         trail = self.trail
         bound = self.trail_lim[target]
-        litval, phase = self.litval, self.phase
-        undone = trail[bound:]
-        undone.reverse()
-        for code in undone:
-            phase[code >> 1] = (code & 1) ^ 1
-            litval[code] = 0
-            litval[code ^ 1] = 0
-        self.order.insert(undone)
+        litval, phase, activity = self.litval, self.phase, self.activity
+        heap, pos = self.order.heap, self.order.pos
+        # undo in reverse trail order, re-entering each variable into the
+        # heap (sifted up) as it is undone
+        for code in reversed(trail[bound:]):
+            x = code >> 1
+            phase[x] = (code & 1) ^ 1
+            litval[code] = litval[code ^ 1] = 0
+            if pos[x] < 0:
+                i = len(heap)
+                heap.append(x)
+                ax = activity[x]
+                while i > 0:
+                    parent = (i - 1) >> 1
+                    y = heap[parent]
+                    if ax <= activity[y]:
+                        break
+                    heap[i] = y
+                    pos[y] = i
+                    i = parent
+                heap[i] = x
+                pos[x] = i
         del trail[bound:]
         del self.trail_lim[target:]
         self.qhead = bound
@@ -744,7 +764,7 @@ class SatSolver:
 
     def _analyze(self, confl: List[int]) -> tuple[List[int], int]:
         level, reason, trail = self.level, self.reason, self.trail
-        activity, order = self.activity, self.order
+        activity, heap, pos = self.activity, self.order.heap, self.order.pos
         learnt = [0]
         seen = bytearray(len(level))
         counter = 0
@@ -762,7 +782,19 @@ class SatSolver:
                         for v in range(1, len(activity)):
                             activity[v] *= 1e-100
                         self.var_inc *= 1e-100
-                    order.update(var)
+                    i = pos[var]  # sift the bumped variable up, if in the heap
+                    if i > 0:
+                        ax = activity[var]
+                        while i > 0:
+                            parent = (i - 1) >> 1
+                            y = heap[parent]
+                            if ax <= activity[y]:
+                                break
+                            heap[i] = y
+                            pos[y] = i
+                            i = parent
+                        heap[i] = var
+                        pos[var] = i
                     if level[var] >= current:
                         counter += 1
                     else:

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mobosat.approx import approx_coefficients, as_ratio, compute_domain
+from mobosat.approx import approx_coefficients, as_ratio, compute_domain, weight_grid
 from mobosat.model import LinearExpr, Literal, evaluate
 
 
@@ -53,6 +54,17 @@ class TestComputeDomain:
             containing = [i for i in range(len(values) - 1)
                           if values[i] <= v < values[i + 1]]
             assert len(containing) == 1
+
+
+@pytest.mark.parametrize("ratio", [1, Fraction(101, 100), Fraction(11, 10), Fraction(7, 3), 2, 11,
+                                   101, "1.0001"])
+@pytest.mark.parametrize("min_weight", [0, 1, 37])
+def test_weight_grid_is_the_fraction_floor_law(ratio, min_weight):
+    # past 20,000 the ratio 1.0001 steps by more than 1
+    exact, expected = Fraction(ratio), [min_weight]
+    while expected[-1] < 30000:
+        expected.append(max(expected[-1] + 1, math.floor(exact * expected[-1])))
+    assert weight_grid(min_weight, 30000, ratio) == tuple(expected)
 
 
 class TestCoefficients:

@@ -108,6 +108,13 @@ class TestSolve:
         path.write_text("max: 1 x1 ;\n")
         assert main(["solve", str(path)]) == EXIT_ERROR
 
+    def test_missing_objective_reports_no_location(self, tmp_path, capsys):
+        path = tmp_path / "no_min.pbmo"
+        path.write_text("1 x1 >= 1 ;\n")
+        assert main(["solve", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: no objective found (need at least one 'min:' line)\n"
+
     def test_missing_file(self):
         assert main(["solve", "/nonexistent/really.pbmo"]) == EXIT_ERROR
 

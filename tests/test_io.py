@@ -89,8 +89,9 @@ class TestParse:
         assert (info.value.line, info.value.column) == (2, column)
 
     def test_objective_required(self):
-        with pytest.raises(ParseError, match="objective"):
+        with pytest.raises(ParseError, match="objective") as info:
             parse_pbmo("1 x1 >= 1 ;\n")
+        assert (info.value.line, info.value.column) == (None, None)  # a document-level error
 
 
 class TestRoundTrip:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mobosat.model import (
     Instance,
@@ -115,7 +115,29 @@ class TestDominance:
             assert weakly_dominates(a, c)
 
 
+def sequential_filter(items, key=lambda item: item):
+    """The filter's defining pass: an element enters unless a kept one weakly
+    dominates it, and evicts the kept ones it dominates."""
+    kept = []
+    for candidate in items:
+        cpoint = key(candidate)
+        if any(weakly_dominates(key(other), cpoint) for other in kept):
+            continue
+        kept = [other for other in kept if not dominates(cpoint, key(other))]
+        kept.append(candidate)
+    return kept
+
+
 class TestNondominatedFilter:
+    @given(st.integers(1, 4).flatmap(lambda p: st.lists(
+        st.lists(st.integers(0, 5), min_size=p, max_size=p).map(tuple), max_size=30)))
+    @settings(max_examples=300)
+    def test_matches_the_sequential_definition(self, pts):
+        assert nondominated_filter(pts) == sequential_filter(pts)
+        records = list(enumerate(pts))
+        assert nondominated_filter(records, key=lambda r: r[1]) == \
+            sequential_filter(records, key=lambda r: r[1])
+
     def test_example_front(self):
         got = nondominated_filter([(4, 1), (2, 2), (1, 4), (3, 3)])
         assert sorted(got) == [(1, 4), (2, 2), (4, 1)]

@@ -246,6 +246,65 @@ class TestSearchIdentity:
                                 "propagations": 24, "restarts": 0}
 
 
+def reference_insert(heap, pos, activity, codes):
+    """The heap's insertion route: each variable of ``codes`` not in the heap,
+    in order, appended and sifted up past every parent of lower activity."""
+    for code in codes:
+        x = code >> 1
+        if pos[x] >= 0:
+            continue
+        i = len(heap)
+        heap.append(x)
+        while i > 0 and activity[x] > activity[heap[(i - 1) >> 1]]:
+            heap[i] = heap[(i - 1) >> 1]
+            pos[heap[i]] = i
+            i = (i - 1) >> 1
+        heap[i] = x
+        pos[x] = i
+
+
+class TestHeapLayout:
+    """Heap ties are broken by layout, so the search depends on the order in
+    which variables re-enter the heap and are sifted after a bump."""
+
+    def test_backjumps_reinsert_in_reverse_trail_order(self):
+        rng = random.Random(11)
+        num_vars = 100
+        solver = make_solver(num_vars, [])
+        lin = solver.new_linear([(rng.randint(1, 5), v) for v in range(1, 21)])
+        for b in (8, 15, 23):
+            solver.threshold(lin, b)
+        cancel, analyze = solver._cancel_until, solver._analyze
+        checked = []
+
+        def checked_cancel(target):
+            heap, pos = list(solver.order.heap), list(solver.order.pos)
+            if len(solver.trail_lim) > target:
+                undone = solver.trail[solver.trail_lim[target]:]
+                reference_insert(heap, pos, solver.activity, reversed(undone))
+                checked.append(len(undone))
+            cancel(target)
+            assert (solver.order.heap, solver.order.pos) == (heap, pos)
+
+        def checked_analyze(confl):
+            result = analyze(confl)
+            heap, pos, activity = solver.order.heap, solver.order.pos, solver.activity
+            assert all(pos[x] == i for i, x in enumerate(heap))
+            assert all(activity[heap[(i - 1) >> 1]] >= activity[heap[i]]
+                       for i in range(1, len(heap)))
+            return result
+
+        solver._cancel_until, solver._analyze = checked_cancel, checked_analyze
+        for i in range(int(num_vars * 4.25)):
+            vs = rng.sample(range(1, num_vars + 1), 3)
+            solver.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+            if i % 20 == 19:
+                solver.solve([v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, num_vars + 1), 2)])
+        assert solver.stats["conflicts"] > 400 and solver.stats["restarts"] > 0
+        assert len(checked) > 400 and sum(n > 1 for n in checked) > 400
+
+
 class TestLevelZeroInvariant:
     """Every exit of ``solve`` leaves the solver at decision level 0 with only
     the root-level literals on the trail; ``add_clause``, ``propagate_root``,
@@ -294,6 +353,11 @@ class TestLevelZeroInvariant:
 
 
 class TestExtras:
+    def test_bits_match_a_shift_scan(self):
+        rng = random.Random(5)
+        for mask in [0, 1, 2, 5] + [rng.getrandbits(rng.randint(1, 2000)) for _ in range(200)]:
+            assert sat._bits(mask) == [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
     def test_fixed_literals_after_root_propagation(self):
         solver = make_solver(3, [[1], [-1, 2]])
         assert solver.propagate_root()

@@ -14,8 +14,10 @@ untraced runs (with the runs themselves), the traced run's metrics and
 whether every output was correct; per workload and end-to-end metric, the
 pairs in which the change did better, the parent's interquartile range
 and the distance between the medians (parent minus change for a
-lower-is-better metric); and both checkouts' git SHAs, the Python version
-and the number of usable cores.  A gain is shown when the change does
+lower-is-better metric); per workload, whether the traced runs' deterministic
+counters (``COUNTERS``) are equal on both sides, and the names of any that
+differ, so a change meant to keep the search shows that it did; and both
+checkouts' git SHAs, the Python version and the number of usable cores.  A gain is shown when the change does
 better in at least nine pairs in ten and the medians differ by more than
 the parent's interquartile range.
 
@@ -38,6 +40,10 @@ HERE = Path(__file__).resolve().parent.parent
 # alternating parent/change pairs per workload: the fewest that can show a
 # gain won in nine pairs out of ten
 PAIRS = 10
+# per-round counters of a traced run that depend only on the search, not on
+# the host's speed
+COUNTERS = ("sat.solve_calls", "sat.decisions", "sat.conflicts", "sat.propagations",
+            "encode.vars", "mcs.found")
 
 
 def _sha(checkout: Path) -> str:
@@ -109,10 +115,13 @@ def main() -> None:
             for side in order:
                 runs[side].append(_run(sides[side], workload, i + 1, seconds, trace=0))
                 print(workload, side, i + 1, runs[side][-1]["metrics"], file=sys.stderr)
+        traced = {side: _run(path, workload, 1, seconds, trace=1)["metrics"]
+                  for side, path in sides.items()}
+        differ = [k for k in COUNTERS if traced["parent"].get(k) != traced["change"].get(k)]
         result["workloads"][workload] = {
-            side: {**_summary(runs[side]),
-                   "traced": _run(sides[side], workload, 1, seconds, trace=1)["metrics"]}
-            for side in sides
+            **{side: {**_summary(runs[side]), "traced": traced[side]} for side in sides},
+            "counters_equal": not differ,
+            "counters_differ": differ,
         }
         result["workloads"][workload]["pairs"] = {
             m["name"]: _pairs([r["metrics"][m["name"]] for r in runs["parent"]],
