@@ -15,8 +15,10 @@ A driver only prepares each iteration:
   around known solutions under that rounding; an identity rounding proves
   the front exact.  Unless the rounding is the identity, each witness is
   then walked to a point that dominates it (``_pareto_walk``): clause-D
-  rounds over complete domains of the original objectives, so the records
-  do not depend on which witness an MCS happens to return;
+  rounds over complete domains of the original objectives, in a walk
+  solver of the iteration's own that holds the constraints alone, so a
+  walk that ends before the deadline ends on a Pareto-optimal point of the
+  instance, and the extraction solver carries none of the walk's sums;
 * the interval driver encodes the original objectives once into one
   growing solver, thins the threshold domains to the ratio's grid, and
   permanently blocks the regions at the images of the previous iteration's
@@ -120,11 +122,13 @@ class IterationTrace:
     """One iteration of a re-approximation driver.
 
     ``objective_clauses`` counts the threshold literals created in the
-    iteration's solver, over every objective ladder, up to the end of the
-    iteration (the solver's linear sums propagate them without clauses; the
+    iteration's solvers, over every objective ladder, up to the end of the
+    iteration: those of the extraction solver plus those of the walk solver,
+    if any (the solvers' linear sums propagate them without clauses; the
     field keeps its name in schema 1).  A complete domain creates only the
-    thresholds asked for: those next to each clause-D witness's value, those
-    of the region blocks and those of the walk.
+    thresholds asked for: those next to each clause-D witness's value and
+    those of the region blocks in the extraction solver, and those of the
+    walk's rounds in the walk solver.
     """
 
     seq: int
@@ -192,11 +196,13 @@ def _pareto_walk(solver: SatSolver, walk: Sequence[PreparedObjective], instance:
     """Walk the solver model ``start`` to one whose image dominates it.
 
     The walk runs ``clause_d`` over ``walk``, complete domains of the
-    original objectives: a round from image ``z`` asks for ``f_j < z_j + 1``
-    on every objective and ``f_k < z_k`` on some.  It stops at the first
-    unsatisfiable round, or at the solver's deadline, and returns the record
-    of the last model and the number of rounds that found one (the
-    Pareto-MCS step of Terra-Neves, Lynce & Manquinho, SAT 2017).
+    original objectives in ``solver``: a round from image ``z`` asks for
+    ``f_j < z_j + 1`` on every objective and ``f_k < z_k`` on some.  It stops
+    at the first unsatisfiable round, or at the solver's deadline, and
+    returns the record of the last model and the number of rounds that found
+    one (the Pareto-MCS step of Terra-Neves, Lynce & Manquinho, SAT 2017).
+    In a solver that holds the constraints alone, as ``_Walk``'s does, the
+    walk ends on a Pareto-optimal point of the instance.
     """
     rounds = clause_d(solver, LadderSoftSet(tuple(walk)), assumptions, start)
     last, _ = next(rounds)  # the start itself
@@ -209,24 +215,62 @@ def _pareto_walk(solver: SatSolver, walk: Sequence[PreparedObjective], instance:
     return _record(instance, last), steps
 
 
+@dataclass
+class _Walk:
+    """Where CoRe walks its witnesses: a solver holding the instance's
+    constraints alone, and complete domains of the original objectives in it."""
+
+    solver: SatSolver
+    objectives: List[PreparedObjective]
+
+    @classmethod
+    def build(cls, instance: Instance, deadline: Optional[float]) -> _Walk:
+        solver, encoder = _constrained_solver(instance, deadline)
+        return cls(solver, [_complete_ladder(encoder, k, f)
+                            for k, f in enumerate(instance.objectives)])
+
+    def run(self, instance: Instance, witness: SolutionRecord) -> Tuple[SolutionRecord, int]:
+        """Walk ``witness`` to a record that dominates it, and the walk's steps.
+
+        A first solve under the witness's assignment gives ``_pareto_walk`` a
+        full model of this solver to start from; if it is unsatisfiable, this
+        independent copy of the constraints refutes the witness, which raises
+        McsInvariantError.  At the deadline the witness is kept with 0 steps.
+        """
+        try:
+            sat = self.solver.solve([v + 1 if a else -(v + 1)
+                                     for v, a in enumerate(witness.assignment)])
+        except SolveBudgetExceeded:
+            return witness, 0
+        if not sat:
+            raise McsInvariantError(f"walk solver refutes the witness {witness.assignment}")
+        return _pareto_walk(self.solver, self.objectives, instance, (), self.solver.model)
+
+
 def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instance: Instance,
                guard: Optional[int] = None, complete: bool = False,
-               walk: Optional[Sequence[PreparedObjective]] = None) -> McsApproxOutcome:
+               walk: Optional[_Walk] = None) -> McsApproxOutcome:
     """Enumerate MCSs until exhaustion or the solver's deadline, blocking each one.
 
     Records carry the witness assignment and its image under the *original*
     objectives; lower bounds are the representative points.  With ``walk``,
-    complete ``PreparedObjective``s of the original objectives, each witness
-    is first walked to a record that dominates it.  Region blocks are
-    guarded by ``guard`` when given (so the caller can retire them).  Each
-    MCS logs one DEBUG line with the solver work it took: solve calls,
-    conflicts, propagations, clause-D rounds and walk steps.
+    each witness is first walked to a record that dominates it, in the walk
+    solver alone: the enumerating solver makes the same solves with or
+    without it.  Region blocks are guarded by ``guard`` when given (so the
+    caller can retire them).  Each MCS logs one DEBUG line with the work it
+    took, summed over both solvers: solve calls, conflicts, propagations,
+    clause-D rounds and walk steps.
     """
     records: List[SolutionRecord] = []
     reps: List[Point] = []
     assumptions = [guard] if guard is not None else []
-    stats = solver.stats
-    before = dict(stats)
+    solvers = (solver,) if walk is None else (solver, walk.solver)
+
+    def work() -> List[int]:
+        return [sum(s.stats[k] for s in solvers)
+                for k in ("solve_calls", "conflicts", "propagations")]
+
+    before = work()
     try:
         for mcs, record in _witnesses(solver, prepared, instance, assumptions, complete):
             rep = mcs.representative
@@ -236,16 +280,15 @@ def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
                 )
             steps = 0
             if walk is not None:
-                record, steps = _pareto_walk(solver, walk, instance, assumptions, mcs.model)
+                record, steps = walk.run(instance, record)
             records.append(record)
             reps.append(rep)
             solver.add_clause([-a for a in assumptions] + _region(prepared, rep))
+            after = work()
             log.debug("mcs %d: rep=%s image=%s solves=%d conflicts=%d propagations=%d "
                       "rounds=%d walk=%d", len(reps), rep, record.image,
-                      stats["solve_calls"] - before["solve_calls"],
-                      stats["conflicts"] - before["conflicts"],
-                      stats["propagations"] - before["propagations"], mcs.rounds, steps)
-            before = dict(stats)
+                      *(a - b for a, b in zip(after, before)), mcs.rounds, steps)
+            before = after
     except SolveBudgetExceeded:
         return McsApproxOutcome(records, reps, False)
     return McsApproxOutcome(records, reps, True)
@@ -284,7 +327,7 @@ class _Iteration:
     shared: bool  # the solver outlives the iteration: guard its region blocks
     complete: bool  # every attainable value is a threshold
     proves_exact: Callable[[McsApproxOutcome], bool]
-    walk: Optional[List[PreparedObjective]] = None  # original objectives, complete
+    walk: Optional[_Walk] = None  # where witnesses are walked, if anywhere
 
 
 def _reapproximate(instance: Instance, schedule: RatioSchedule,
@@ -324,7 +367,8 @@ def _reapproximate(instance: Instance, schedule: RatioSchedule,
             new_images=tuple(rec.image for rec in outcome.records),
             new_lower_bounds=tuple(outcome.lower_bounds),
             mcs_count=len(outcome.lower_bounds),
-            objective_clauses=step.solver.num_thresholds,
+            objective_clauses=step.solver.num_thresholds + (
+                step.walk.solver.num_thresholds if step.walk else 0),
             completed=outcome.completed,
             wall_s=time.monotonic() - t0,
         ))
@@ -362,8 +406,10 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     domains whose thresholds are created as extraction asks for them, into
     a fresh solver.  It blocks the regions weakly dominated by
     the rounded images of known solutions, which also seed its lower bounds,
-    and runs the MCS enumerator, walking each witness over complete domains
-    of the original objectives unless the rounding is the identity.  Stops when
+    and runs the MCS enumerator.  Unless the rounding is the identity, the
+    iteration also builds a walk solver over the constraints alone, with
+    complete domains of the original objectives, and walks each witness
+    there to a Pareto-optimal point that dominates it.  Stops when
     the rounding is the identity (the front is then exact), the target ratio
     is warranted, or the budget runs out.
     """
@@ -388,10 +434,9 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
             z = tuple(evaluate(prep.expr, rec.assignment) for prep in prepared)
             solver.add_clause(_region(prepared, z))
             seeds.append(z)
-        walk = None if exact else [_complete_ladder(encoder, k, f)
-                                   for k, f in enumerate(instance.objectives)]
         return _Iteration(solver, prepared, seeds, shared=False, complete=True,
-                          proves_exact=lambda outcome: exact, walk=walk)
+                          proves_exact=lambda outcome: exact,
+                          walk=None if exact else _Walk.build(instance, deadline))
 
     return _reapproximate(instance, schedule, prepare, "coeff")
 

@@ -3,20 +3,25 @@ import itertools
 import logging
 import random
 import re
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mobosat import engine
+from mobosat.approx import approx_coefficients
 from mobosat.engine import (
     RatioSchedule,
     _complete_ladder,
     _constrained_solver,
     _pareto_walk,
+    _Walk,
     core_solve,
     enumerate_efficient_set,
     intre_solve,
+    mcs_approx,
     solve_exact,
     update_ratio,
 )
@@ -162,19 +167,24 @@ class TestCoefficientDriver:
             (1, 17), (2, 13), (4, 9), (6, 5), (8, 1)]
 
     def test_per_iteration_sizes_on_covering_instance(self):
-        # each iteration's solver creates only the threshold literals asked
+        # each iteration's solvers create only the threshold literals asked
         # for, not one per attainable value of each rounded objective (which
-        # would be 20 + 56, 20 + 155, 20 + 779 and 20 + 802 here).  At ratio
-        # 11 the four clause-D rounds of the one MCS ask for 11 next to their
-        # witnesses' values; at ratio 2 the region block of the known record
-        # and one round ask for 5; walking each of those MCSs' witnesses asks
-        # for 4 thresholds of the original objectives.  At ratios 11/10 and
+        # would be 20 + 56, 20 + 155, 20 + 779 and 20 + 802 here); the count
+        # sums the extraction solver and, unless the rounding is the
+        # identity, the walk solver.  At ratio 11 the four clause-D rounds of
+        # the one MCS ask the extraction solver for 11 next to their
+        # witnesses' values, and the walk of its witness, already at
+        # (3, 45), asks the walk solver for one improve and one hold
+        # threshold per objective, 4.  At ratio 2 the region block of the
+        # known record and one round ask for 5; the witness, at (3, 53),
+        # walks one step to (3, 45): 4 thresholds for the first round and
+        # 2 for the second objective, whose cut moved.  At ratios 11/10 and
         # 101/100 only the region block of the known record asks, for one
-        # threshold per objective, and no MCS is left
+        # threshold per objective, and no MCS is left to walk
         result = core_solve(generate_mscp(20, 6, 2, seed=5),
                             RatioSchedule(start=11, divisor=10))
         assert [(t.ratio, t.objective_clauses, t.mcs_count) for t in result.trace] == [
-            (11, 11 + 4, 1), (2, 5 + 4, 1), (Fraction(11, 10), 2, 0),
+            (11, 11 + 4, 1), (2, 5 + 4 + 2, 1), (Fraction(11, 10), 2, 0),
             (Fraction(101, 100), 2, 0)]
         assert result.warranted_ratio == 1
         assert len(result.records) == 1
@@ -186,8 +196,8 @@ FRONT = [(1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]
 
 def _walk_setup(instance):
     """A solver for ``instance`` and complete domains of its objectives."""
-    solver, encoder = _constrained_solver(instance, None)
-    return solver, [_complete_ladder(encoder, k, f) for k, f in enumerate(instance.objectives)]
+    walk = _Walk.build(instance, None)
+    return walk.solver, walk.objectives
 
 
 def _start(solver, assignment):
@@ -249,6 +259,90 @@ class TestParetoWalk:
         assert set(result.images) <= set(FRONT)
 
 
+# the small covering instances of tools/fingerprint.py, each with seeds 1 and 2
+SMALL_COVER = ((8, 3, 2), (10, 4, 2), (10, 4, 3), (12, 5, 2), (12, 4, 3), (14, 5, 2), (14, 6, 3))
+
+
+def _conflict_pool():
+    """The anytime benchmark's instances and target (``perfbench/workloads.py``)."""
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return workloads.conflict_pool(), workloads.TARGET
+
+
+def _extraction(instance, ratio):
+    """An extraction solver as CoRe's first iteration at ``ratio`` builds it:
+    the constraints and complete domains of the rounded objectives."""
+    solver, encoder = _constrained_solver(instance, None)
+    return solver, [_complete_ladder(encoder, k, approx_coefficients(f, ratio).approx)
+                    for k, f in enumerate(instance.objectives)]
+
+
+class TestWalkSolver:
+    def test_extraction_is_independent_of_the_walk(self, unconstrained_biobjective):
+        pool, _ = _conflict_pool()
+        cases = [(unconstrained_biobjective, 4), (generate_mscp(14, 6, 3, 2), 11)]
+        cases += [(instance, 11) for instance in pool]
+        moved = 0
+        for instance, ratio in cases:
+            walked_solver, prepared = _extraction(instance, Fraction(ratio))
+            walked = mcs_approx(walked_solver, prepared, instance, complete=True,
+                                walk=_Walk.build(instance, None))
+            plain_solver, prepared = _extraction(instance, Fraction(ratio))
+            plain = mcs_approx(plain_solver, prepared, instance, complete=True)
+            assert walked.completed and plain.completed
+            assert walked.lower_bounds == plain.lower_bounds
+            assert walked_solver.stats == plain_solver.stats
+            assert all(weakly_dominates(w.image, p.image)
+                       for w, p in zip(walked.records, plain.records))
+            moved += sum(w.image != p.image for w, p in zip(walked.records, plain.records))
+        assert moved  # some witness was walked off its own image
+
+    def test_refuted_witness_raises(self, unconstrained_biobjective):
+        instance = unconstrained_biobjective
+        solver, prepared = _extraction(instance, Fraction(4))
+        first = mcs_approx(solver, prepared, instance, complete=True).records[0]
+        walk = _Walk.build(instance, None)
+        walk.solver.add_clause([-(v + 1) if a else v + 1 for v, a in enumerate(first.assignment)])
+        solver, prepared = _extraction(instance, Fraction(4))
+        with pytest.raises(McsInvariantError, match="refutes the witness"):
+            mcs_approx(solver, prepared, instance, complete=True, walk=walk)
+
+    def test_deadline_in_the_start_solve_keeps_the_witness(self, unconstrained_biobjective,
+                                                          caplog):
+        caplog.set_level(logging.DEBUG, logger="mobosat.engine")
+        instance = unconstrained_biobjective
+        solver, prepared = _extraction(instance, Fraction(4))
+        plain = mcs_approx(solver, prepared, instance, complete=True)
+        walk = _Walk.build(instance, time.monotonic() - 1)
+        solver, prepared = _extraction(instance, Fraction(4))
+        caplog.clear()
+        outcome = mcs_approx(solver, prepared, instance, complete=True, walk=walk)
+        assert outcome.completed and outcome.records == plain.records
+        assert walk.solver.stats["solve_calls"] == len(outcome.records)
+        steps = [TestMcsLog.LINE.match(r.getMessage()).group(6) for r in caplog.records
+                 if r.getMessage().startswith("mcs ")]
+        assert steps == ["0"] * len(outcome.records)
+
+    # on unconstrained_biobjective, TestParetoWalk checks the same
+    @pytest.mark.parametrize("case", ["small covers", "conflict pool"])
+    def test_coefficient_records_are_on_the_front(self, case):
+        if case == "small covers":
+            runs = [(generate_mscp(n, m, p, seed), schedule(2))
+                    for n, m, p in SMALL_COVER for seed in (1, 2)]
+        else:
+            pool, target = _conflict_pool()
+            runs = [(instance, schedule(11, target=target)) for instance in pool]
+        for instance, sched in runs:
+            front = set(brute_force_pareto(instance).pareto_front)
+            result = core_solve(instance, sched)
+            assert result.records and set(result.images) <= front
+
+
 class TestMcsLog:
     LINE = re.compile(r"mcs (\d+): rep=\(.*\) image=\(.*\) solves=(\d+) conflicts=(\d+) "
                       r"propagations=(\d+) rounds=(\d+) walk=(\d+)$")
@@ -264,9 +358,10 @@ class TestMcsLog:
         assert all(lines) and len(lines) == sum(t.mcs_count for t in result.trace)
         for match in lines:
             solves, conflicts, propagations, rounds, walk = map(int, match.groups()[1:])
-            # the first solve, the clause-D rounds, the walk's steps and its
-            # last, unsatisfiable step
-            assert solves == 1 + rounds + walk + 1
+            # the extraction solver's first solve and clause-D rounds, then
+            # the walk solver's start solve, the walk's steps and its last,
+            # unsatisfiable step
+            assert solves == 1 + rounds + 1 + walk + 1
             assert propagations > 0
 
     def test_no_walk_on_exact_objectives(self, unconstrained_biobjective, caplog):

@@ -11,9 +11,11 @@ the result JSON (of the efficient records for ``enumerate_efficient_set``);
 one of the outcome alone, that is the sorted images, the sorted lower
 bounds, the warranted ratio and the truncated flag (the sorted records and
 whether enumeration ran to exhaustion for ``enumerate_efficient_set``);
-then the counters summed over every solver the case built, then the
-threshold literals (``Encoder.objective_clauses``) summed over every
-encoder it built.
+one of the sorted lower bounds L and the warranted ratio alone (whether
+enumeration ran to exhaustion for ``enumerate_efficient_set``); then the
+counters summed over every solver the case built, then the threshold
+literals (``Encoder.objective_clauses``) summed over every encoder it
+built.
 
 The two ``core(11)->11`` cases run CoRe's ratio-11 iteration on covering
 instances large enough to restart (5 and 11 restarts), which no other case
@@ -32,9 +34,11 @@ A change that moves the search but not the results may change the result
 digest and the counters, since the JSON also holds the order in which
 records were found and each iteration's threshold count; the outcome
 digest, the second column, must stay.  Where the records depend on which
-witness an MCS returns, as CoRe's walked records do on the two
-``core(11)->11`` cases, the outcome digest may move too: compare the lower
-bounds and the ratio in the JSON there.
+witness an MCS returns, as CoRe's walked records can, the outcome digest
+may move too; L and the ratio must not, so the third digest, the tenth
+field from the end of each line, must stay:
+
+    diff <(awk '{print $(NF-9)}' old.txt) <(awk '{print $(NF-9)}' new.txt)
 """
 
 import argparse
@@ -48,21 +52,22 @@ SMALL_COVER = ((8, 3, 2), (10, 4, 2), (10, 4, 3), (12, 5, 2), (12, 4, 3), (14, 5
 
 
 def _cases(engine, io, workloads):
-    """(name, thunk) pairs; a thunk returns the bytes to hash and the outcome."""
+    """(name, thunk) pairs; a thunk returns the bytes to hash, the outcome
+    and the part of the outcome that bounds the front."""
 
     def result_json(solve, instance, schedule):
         def run():
             result = solve(instance, schedule)
+            bounds = sorted(result.lower_bounds), result.warranted_ratio
             return io.write_result(result, "json"), (
-                sorted(result.images), sorted(result.lower_bounds),
-                result.warranted_ratio, result.truncated)
+                sorted(result.images), *bounds, result.truncated), bounds
         return run
 
     def efficient(instance):
         def run():
             records, complete = engine.enumerate_efficient_set(instance)
             return repr((records, complete)).encode(), (
-                sorted((r.assignment, r.image) for r in records), complete)
+                sorted((r.assignment, r.image) for r in records), complete), complete
         return run
 
     for i, instance in enumerate(workloads.conflict_pool()):
@@ -120,15 +125,15 @@ def main() -> None:
     for name, thunk in _cases(engine, io, workloads):
         built.clear()
         encoders.clear()
-        data, outcome = thunk()
-        digest = hashlib.sha256(data).hexdigest()[:16]
-        outcome_digest = hashlib.sha256(repr(outcome).encode()).hexdigest()[:16]
+        data, outcome, bounds = thunk()
+        digests = [hashlib.sha256(b).hexdigest()[:16]
+                   for b in (data, repr(outcome).encode(), repr(bounds).encode())]
         totals = [sum(s.stats[c] for s in built) for c in COUNTERS]
         totals.append(sum(s.num_vars for s in built))
         totals.append(sum(s.num_clauses for s in built))
         totals.append(sum(len(s.learnt_idxs) for s in built))
         totals.append(sum(e.objective_clauses for e in encoders))
-        print(name, digest, outcome_digest, *totals)
+        print(name, *digests, *totals)
 
 
 if __name__ == "__main__":
