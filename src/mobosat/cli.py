@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import io as iomod
-from . import oracle as oraclemod
 from . import quality
 from .approx import as_ratio
 from .engine import RatioSchedule, core_solve, enumerate_efficient_set, intre_solve
@@ -182,8 +181,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_force_pareto  # imports numpy, which no other command needs
+
     instance = _load_instance(args.instance)
-    report = oraclemod.brute_force_pareto(instance, cap=args.max_vars)
+    report = brute_force_pareto(instance, cap=args.max_vars)
     payload = {
         "schema": iomod.RESULT_SCHEMA,
         "pareto_front": [list(q) for q in report.pareto_front],
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (iomod.ParseError, oraclemod.OracleCapError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and OracleCapError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -40,6 +40,11 @@ The fast paths rely on these invariants:
   re-enters the undone variables in reverse trail order, and ``_analyze``
   sifts each variable up at its bump, in the order it reads a clause's
   literals (sifts batched after the bumps give another layout);
+- every unassigned variable is in the branching heap: a variable leaves it
+  only when popped, and ``_cancel_until`` puts back each one it undoes;
+- a solve that finds every variable assigned empties the heap in one pass
+  (``_VarOrder.clear``), which leaves it as popping it empty would, so the
+  re-entry order of the ``_cancel_until(0)`` that follows is unchanged;
 - outside ``solve`` the solver is at decision level 0: every exit of
   ``solve`` (a model, UNSAT, a false assumption, SolveBudgetExceeded, a bad
   assumption) happens at or cancels to level 0 first, so ``add_clause``,
@@ -113,10 +118,11 @@ class _VarOrder:
             pos[var] = i
 
     def pop_unassigned(self, litval: List[int]) -> int:
-        """Pop variables until one is unassigned in ``litval``; return it, or
-        0 once the heap is empty."""
+        """Pop variables until one is unassigned in ``litval`` and return it.
+        Some variable must be unassigned: as each one is in the heap, the
+        loop finds it before the heap runs out."""
         heap, pos, activity = self.heap, self.pos, self.activity
-        while heap:
+        while True:
             top = heap[0]
             x = heap.pop()
             pos[top] = -1
@@ -147,7 +153,13 @@ class _VarOrder:
                 pos[x] = i
             if litval[top << 1] == 0:
                 return top
-        return 0
+
+    def clear(self) -> None:
+        """Take every variable out of the heap, as popping it empty would."""
+        pos = self.pos
+        for var in self.heap:
+            pos[var] = -1
+        self.heap.clear()
 
 
 def _luby(i: int) -> int:
@@ -903,13 +915,14 @@ class SatSolver:
                 self.trail_lim.append(len(self.trail))
                 self._unchecked_enqueue(code, None)
                 continue
-            var = self.order.pop_unassigned(self.litval)
-            if not var:
+            if len(self.trail) == self.num_vars:
+                self.order.clear()  # a model: nothing is left to pop
                 self.model = self.litval[0::2]
                 self._cancel_until(0)
                 if self.check_models:
                     self._verify_model(assume_codes)
                 return True
+            var = self.order.pop_unassigned(self.litval)
             self.stats["decisions"] += 1
             self.trail_lim.append(len(self.trail))
             self._unchecked_enqueue((var << 1) | (self.phase[var] ^ 1), None)

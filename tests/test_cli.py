@@ -178,10 +178,19 @@ class TestOtherCommands:
         assert "--count" in capsys.readouterr().err
         assert not outdir.exists()
 
-    def test_oracle_refuses_above_cap(self, tmp_path):
+    def test_oracle_refuses_above_cap(self, tmp_path, capsys):
         inst = tmp_path / "big.pbmo"
         main(["generate", "-n", "30", "-m", "5", "-p", "2", "--out", str(inst)])
+        capsys.readouterr()
         assert main(["oracle", str(inst), "--max-vars", "24"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: 30 variables exceeds the oracle cap of 24\n"
+
+    def test_import_leaves_numpy_to_the_oracle(self):
+        # numpy is most of the import time, and only the oracle command needs it
+        code = "import sys, mobosat.cli; sys.exit('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mobosat.__file__)))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_evaluate(self, tmp_path):
         a, r = tmp_path / "a.json", tmp_path / "r.json"

@@ -304,6 +304,52 @@ class TestHeapLayout:
         assert solver.stats["conflicts"] > 400 and solver.stats["restarts"] > 0
         assert len(checked) > 400 and sum(n > 1 for n in checked) > 400
 
+    def test_model_empties_heap_and_reinserts_in_reverse_trail_order(self):
+        # at a model the heap is emptied, not popped, and the backtrack to
+        # the root re-enters the trail above it as from an empty heap
+        rng = random.Random(13)
+        num_vars = 60
+        solver = make_solver(num_vars, [])
+        lin = solver.new_linear([(rng.randint(1, 5), v) for v in range(1, 16)])
+        for b in (6, 12, 19):
+            solver.threshold(lin, b)
+        cancel = solver._cancel_until
+        last = []
+
+        def recording_cancel(target):
+            above = solver.trail[solver.trail_lim[0]:] if solver.trail_lim else []
+            last[:] = [list(solver.order.heap), list(solver.order.pos), above]
+            cancel(target)
+
+        solver._cancel_until = recording_cancel
+        models = 0
+        for i in range(int(num_vars * 4.25)):
+            vs = rng.sample(range(1, num_vars + 1), 3)
+            solver.add_clause([v if rng.random() < 0.5 else -v for v in vs])
+            if i % 10 == 9 and solver.solve([v if rng.random() < 0.5 else -v
+                                             for v in rng.sample(range(1, num_vars + 1), 2)]):
+                heap, pos, above = last
+                assert heap == [] and set(pos) == {-1}
+                reference_insert(heap, pos, solver.activity, reversed(above))
+                assert (solver.order.heap, solver.order.pos) == (heap, pos)
+                models += 1
+        assert models > 10 and solver.stats["conflicts"] > 100
+
+    def test_fully_propagated_assumptions_decide_nothing(self, monkeypatch):
+        # the assumption 1 implies every other variable, so the solve finds
+        # its model without a decision and without popping the heap
+        pops = []
+        pop = sat._VarOrder.pop_unassigned
+        monkeypatch.setattr(sat._VarOrder, "pop_unassigned",
+                            lambda order, litval: pops.append(1) or pop(order, litval))
+        solver = make_solver(4, [[-1, 2], [-2, -3], [3, 4], [-4, 1]])
+        assert solver.solve([1])
+        assert solver.model_assignment() == (1, 1, 0, 1)
+        assert solver.stats["decisions"] == 0 and pops == []
+        assert sorted(solver.order.heap) == [1, 2, 3, 4]
+        assert solver.solve()  # the root is free: the search decides
+        assert solver.stats["decisions"] > 0 and pops
+
 
 class TestLevelZeroInvariant:
     """Every exit of ``solve`` leaves the solver at decision level 0 with only

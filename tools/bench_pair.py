@@ -44,6 +44,8 @@ PAIRS = 10
 # the host's speed
 COUNTERS = ("sat.solve_calls", "sat.decisions", "sat.conflicts", "sat.propagations",
             "encode.vars", "mcs.found")
+# lines of a failed run's stderr to show
+STDERR_TAIL = 20
 
 
 def _sha(checkout: Path) -> str:
@@ -56,12 +58,20 @@ def _sha(checkout: Path) -> str:
     return sha + "+dirty" if git("status", "--porcelain", "--untracked-files=no") else sha
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark process; its report (the last line it prints)."""
+def _run(side: str, checkout: Path, workload: str, seed: int, seconds: float,
+         trace: int) -> dict:
+    """One benchmark process; its report (the last line it prints).  A run
+    that fails prints its side, workload, pair index (its seed) and the tail
+    of its stderr before the error is raised."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL:])
+        print(f"{side} run of {workload}, pair {seed}, trace {trace}: exit {done.returncode}\n"
+              f"{tail}", file=sys.stderr)
+        done.check_returncode()
     report = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": report["correct"], "failed": report["failed"],
             "attempted": report["attempted"],
@@ -113,9 +123,9 @@ def main() -> None:
         for i in range(PAIRS):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                runs[side].append(_run(sides[side], workload, i + 1, seconds, trace=0))
+                runs[side].append(_run(side, sides[side], workload, i + 1, seconds, trace=0))
                 print(workload, side, i + 1, runs[side][-1]["metrics"], file=sys.stderr)
-        traced = {side: _run(path, workload, 1, seconds, trace=1)["metrics"]
+        traced = {side: _run(side, path, workload, 1, seconds, trace=1)["metrics"]
                   for side, path in sides.items()}
         differ = [k for k in COUNTERS if traced["parent"].get(k) != traced["change"].get(k)]
         result["workloads"][workload] = {
