@@ -48,9 +48,7 @@ class Encoder:
 
     @property
     def objective_clauses(self) -> int:
-        """Threshold literals created in the solver: what the objective
-        encoding adds, now that a ladder emits no clause (the name is that of
-        the trace field it fills)."""
+        """Threshold literals created in the solver (perfbench's count)."""
         return self.solver.num_thresholds
 
     def true_lit(self) -> int:

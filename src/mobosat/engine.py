@@ -14,11 +14,12 @@ A driver only prepares each iteration:
   rounds the objectives onto the ratio's weight grid and blocks the regions
   around known solutions under that rounding; an identity rounding proves
   the front exact.  Unless the rounding is the identity, each witness is
-  then walked to a point that dominates it (``_pareto_walk``): clause-D
-  rounds over complete domains of the original objectives, in a walk
-  solver of the iteration's own that holds the constraints alone, so a
-  walk that ends before the deadline ends on a Pareto-optimal point of the
-  instance, and the extraction solver carries none of the walk's sums;
+  then checked by ``model.is_feasible`` and walked to a point that
+  dominates it (``_Walk.run``): clause-D rounds from its assignment, with
+  no start solve, over complete domains of the original objectives, in a
+  walk solver of the iteration's own that holds the constraints alone, so
+  a walk that ends before the deadline ends on a Pareto-optimal point of
+  the instance, and the extraction solver carries none of the walk's sums;
 * the interval driver encodes the original objectives once into one
   growing solver, thins the threshold domains to the ratio's grid, and
   permanently blocks the regions at the images of the previous iteration's
@@ -191,30 +192,6 @@ def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
         yield mcs, record
 
 
-def _pareto_walk(solver: SatSolver, walk: Sequence[PreparedObjective], instance: Instance,
-                 assumptions: Sequence[int], start: Sequence[int]) -> Tuple[SolutionRecord, int]:
-    """Walk the solver model ``start`` to one whose image dominates it.
-
-    The walk runs ``clause_d`` over ``walk``, complete domains of the
-    original objectives in ``solver``: a round from image ``z`` asks for
-    ``f_j < z_j + 1`` on every objective and ``f_k < z_k`` on some.  It stops
-    at the first unsatisfiable round, or at the solver's deadline, and
-    returns the record of the last model and the number of rounds that found
-    one (the Pareto-MCS step of Terra-Neves, Lynce & Manquinho, SAT 2017).
-    In a solver that holds the constraints alone, as ``_Walk``'s does, the
-    walk ends on a Pareto-optimal point of the instance.
-    """
-    rounds = clause_d(solver, LadderSoftSet(tuple(walk)), assumptions, start)
-    last, _ = next(rounds)  # the start itself
-    steps = 0
-    try:
-        for last, _ in rounds:
-            steps += 1
-    except SolveBudgetExceeded:
-        pass
-    return _record(instance, last), steps
-
-
 @dataclass
 class _Walk:
     """Where CoRe walks its witnesses: a solver holding the instance's
@@ -230,21 +207,27 @@ class _Walk:
                             for k, f in enumerate(instance.objectives)])
 
     def run(self, instance: Instance, witness: SolutionRecord) -> Tuple[SolutionRecord, int]:
-        """Walk ``witness`` to a record that dominates it, and the walk's steps.
+        """Walk ``witness`` to a record whose image dominates it, and the walk's steps.
 
-        A first solve under the witness's assignment gives ``_pareto_walk`` a
-        full model of this solver to start from; if it is unsatisfiable, this
-        independent copy of the constraints refutes the witness, which raises
-        McsInvariantError.  At the deadline the witness is kept with 0 steps.
+        A witness that violates a constraint (``model.is_feasible``) raises
+        McsInvariantError.  From the witness's assignment, with no solve
+        before it, ``clause_d`` runs over complete domains of the original
+        objectives: a round from image ``z`` asks for ``f_j < z_j + 1`` on
+        every objective and ``f_k < z_k`` on some (the Pareto-MCS step of
+        Terra-Neves, Lynce & Manquinho, SAT 2017).  The walk stops at the first
+        unsatisfiable round, on a Pareto-optimal point of the instance, or at
+        the deadline, on the last model.
         """
+        if not model.is_feasible(instance, witness.assignment):
+            raise McsInvariantError(f"the witness {witness.assignment} violates a constraint")
+        start = (0,) + tuple(1 if a else -1 for a in witness.assignment)
+        last, steps = start, -1  # clause_d yields the start first
         try:
-            sat = self.solver.solve([v + 1 if a else -(v + 1)
-                                     for v, a in enumerate(witness.assignment)])
+            for last, _ in clause_d(self.solver, LadderSoftSet(tuple(self.objectives)), (), start):
+                steps += 1
         except SolveBudgetExceeded:
-            return witness, 0
-        if not sat:
-            raise McsInvariantError(f"walk solver refutes the witness {witness.assignment}")
-        return _pareto_walk(self.solver, self.objectives, instance, (), self.solver.model)
+            pass
+        return _record(instance, last), steps
 
 
 def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instance: Instance,
@@ -254,12 +237,12 @@ def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
 
     Records carry the witness assignment and its image under the *original*
     objectives; lower bounds are the representative points.  With ``walk``,
-    each witness is first walked to a record that dominates it, in the walk
-    solver alone: the enumerating solver makes the same solves with or
-    without it.  Region blocks are guarded by ``guard`` when given (so the
-    caller can retire them).  Each MCS logs one DEBUG line with the work it
-    took, summed over both solvers: solve calls, conflicts, propagations,
-    clause-D rounds and walk steps.
+    each witness is first walked from its assignment to a record that
+    dominates it, in the walk solver alone (``_Walk.run``): the enumerating
+    solver makes the same solves with or without it.  Region blocks are
+    guarded by ``guard`` when given (so the caller can retire them).  Each
+    MCS logs one DEBUG line with the work it took, summed over both solvers:
+    solve calls, conflicts, propagations, clause-D rounds and walk steps.
     """
     records: List[SolutionRecord] = []
     reps: List[Point] = []
@@ -408,8 +391,9 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     the rounded images of known solutions, which also seed its lower bounds,
     and runs the MCS enumerator.  Unless the rounding is the identity, the
     iteration also builds a walk solver over the constraints alone, with
-    complete domains of the original objectives, and walks each witness
-    there to a Pareto-optimal point that dominates it.  Stops when
+    complete domains of the original objectives, checks each witness with
+    ``model.is_feasible`` and walks it there, from its assignment and with
+    no start solve, to a Pareto-optimal point that dominates it.  Stops when
     the rounding is the identity (the front is then exact), the target ratio
     is warranted, or the budget runs out.
     """

@@ -10,7 +10,8 @@ a downward-closed prefix of its threshold domain, and the representative /
 successor points are the largest falsified and smallest satisfied
 thresholds.  ``extract_mcs`` solves once and runs the rounds to their end,
 which leaves an MCS and its witness; the engine's Pareto walk runs them
-over complete domains of the original objectives.
+over complete domains of the original objectives from a witness's
+assignment alone, checked by ``model.is_feasible``, with no start solve.
 
 The loop reads a model's prefix length per objective, its cut, from one of
 two soft sets.  A ``SoftSet`` holds explicit ``(d, literal)`` pairs and
@@ -150,8 +151,8 @@ def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence
                     moved: Sequence[bool]) -> None:
     """Verify that ``model`` sets every ``hold`` literal true and each
     ``improve`` literal true exactly where its objective's cut ``moved``
-    below the one the literals were asked for; a literal created after the
-    model is skipped."""
+    below the one the literals were asked for; a literal the model does not
+    assign (created after it, or past a walk start) is skipped."""
     for k, (up, keep, down) in enumerate(zip(improve, hold, moved)):
         for lit, want, name in ((up, down, "improve"), (keep, True, "hold")):
             if abs(lit) < len(model) and ((model[abs(lit)] == 1) == (lit > 0)) != want:

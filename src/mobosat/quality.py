@@ -77,8 +77,10 @@ def protocol_denominators(point_sets: Sequence[Sequence[Sequence[int]]],
 
     With the default slack this is "coordinate maximum plus one"; pass
     ``Fraction(11, 10)`` for the cross-algorithm 1.1x protocol (rounded up
-    to an integer so exact arithmetic survives).
+    to an integer so exact arithmetic survives); a slack below 1 raises.
     """
+    if slack < 1:
+        raise ValueError(f"protocol slack must be at least 1, got {slack}")
     first = next((q for points in point_sets for q in points), None)
     if first is None:
         raise ValueError("need at least one point")

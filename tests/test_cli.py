@@ -202,6 +202,15 @@ class TestOtherCommands:
         assert data["epsilon_vs_reference"] == "2/1"
         assert data["epsilon_vs_reference_float"] == 2.0
 
+    def test_evaluate_rejects_slack_below_one(self, tmp_path):
+        # slack 1/2 used to exit 0 with hypervolume 0/1, every point dropped
+        a, r = tmp_path / "a.json", tmp_path / "r.json"
+        a.write_text("[[2,2]]")
+        r.write_text("[[1,4],[2,2],[4,1]]")
+        result = run_cli("evaluate", str(a), str(r), "--protocol-slack", "1/2")
+        assert result.returncode == EXIT_ERROR
+        assert result.stderr.startswith("error: protocol slack must be at least 1")
+
     def test_evaluate_rejects_ragged_points(self, tmp_path):
         # an empty reference used to let a ragged file reach the indicators;
         # a child process, so the error is logged as a real run logs it

@@ -16,7 +16,6 @@ from mobosat.engine import (
     RatioSchedule,
     _complete_ladder,
     _constrained_solver,
-    _pareto_walk,
     _Walk,
     core_solve,
     enumerate_efficient_set,
@@ -194,48 +193,51 @@ class TestCoefficientDriver:
 FRONT = [(1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]
 
 
-def _walk_setup(instance):
-    """A solver for ``instance`` and complete domains of its objectives."""
-    walk = _Walk.build(instance, None)
-    return walk.solver, walk.objectives
-
-
-def _start(solver, assignment):
-    """A model of ``solver`` that sets the instance's variables to ``assignment``."""
-    assert solver.solve([v + 1 if a else -(v + 1) for v, a in enumerate(assignment)])
-    return tuple(solver.model)
+def _witness(instance, assignment):
+    return SolutionRecord(tuple(assignment), image(instance, assignment))
 
 
 class TestParetoWalk:
     def test_walk_reaches_a_dominating_front_point(self, unconstrained_biobjective):
         instance = unconstrained_biobjective
-        solver, walk = _walk_setup(instance)
+        walk = _Walk.build(instance, None)
         for assignment in itertools.product((0, 1), repeat=instance.num_vars):
-            start = SolutionRecord(assignment, image(instance, assignment))
-            walked, steps = _pareto_walk(solver, walk, instance, (), _start(solver, assignment))
+            start = _witness(instance, assignment)
+            walked, steps = walk.run(instance, start)
             assert (steps >= 1) == (start.image not in FRONT)
             assert walked.image in FRONT and weakly_dominates(walked.image, start.image)
             assert walked.image == image(instance, walked.assignment)
             # from a front point the first step is unsatisfiable
-            again = _start(solver, walked.assignment)
-            assert _pareto_walk(solver, walk, instance, (), again) == (walked, 0)
+            assert walk.run(instance, walked) == (walked, 0)
+
+    def test_walk_on_a_constrained_instance(self, two_obj_triangle):
+        # the walk solver holds the constraint's encoding ahead of the
+        # thresholds, none of which the start assigns
+        instance = two_obj_triangle
+        walk = _Walk.build(instance, None)
+        front = set(brute_force_pareto(instance).pareto_front)
+        for assignment in itertools.product((0, 1), repeat=instance.num_vars):
+            if is_feasible(instance, assignment):
+                walked, _ = walk.run(instance, _witness(instance, assignment))
+                assert walked.image in front
+                assert weakly_dominates(walked.image, image(instance, assignment))
 
     def test_walk_stops_at_the_deadline(self, unconstrained_biobjective):
         instance = unconstrained_biobjective
-        solver, walk = _walk_setup(instance)
-        start = _start(solver, (1, 0, 0, 0))
-        solver.deadline = time.monotonic() - 1
-        assert _pareto_walk(solver, walk, instance, (), start) == (
-            SolutionRecord((1, 0, 0, 0), (4, 18)), 0)
+        walk = _Walk.build(instance, None)
+        walk.solver.deadline = time.monotonic() - 1
+        start = SolutionRecord((1, 0, 0, 0), (4, 18))
+        assert walk.run(instance, start) == (start, 0)
 
     @pytest.mark.parametrize("corruption", ["stale", "hold"])
     def test_walk_steps_are_checked(self, unconstrained_biobjective, corruption):
-        # the first satisfiable answer of the walk comes back with the start
-        # model (no move), or with its last assumption, the hold literal of
-        # the last objective, flipped
+        # the first satisfiable answer of the walk comes back with the start's
+        # values of the instance variables (no move), or with its last
+        # assumption, the hold literal of the last objective, flipped
         instance = unconstrained_biobjective
-        solver, walk = _walk_setup(instance)
-        start = _start(solver, (1, 0, 0, 0))
+        walk = _Walk.build(instance, None)
+        solver = walk.solver
+        start = (1, 0, 0, 0)
         solve, corrupted = solver.solve, []
 
         def corrupting_solve(assumptions):
@@ -243,7 +245,7 @@ class TestParetoWalk:
             if sat and not corrupted:
                 corrupted.append(True)
                 if corruption == "stale":
-                    solver.model = list(start)
+                    solver.model[1:len(start) + 1] = [1 if a else -1 for a in start]
                 else:
                     var = abs(assumptions[-1])
                     solver.model[var] = -solver.model[var]
@@ -251,7 +253,7 @@ class TestParetoWalk:
 
         solver.solve = corrupting_solve
         with pytest.raises(McsInvariantError):
-            _pareto_walk(solver, walk, instance, (), start)
+            walk.run(instance, _witness(instance, start))
         assert corrupted
 
     def test_coefficient_records_are_walked(self, unconstrained_biobjective):
@@ -302,18 +304,17 @@ class TestWalkSolver:
             moved += sum(w.image != p.image for w, p in zip(walked.records, plain.records))
         assert moved  # some witness was walked off its own image
 
-    def test_refuted_witness_raises(self, unconstrained_biobjective):
-        instance = unconstrained_biobjective
-        solver, prepared = _extraction(instance, Fraction(4))
-        first = mcs_approx(solver, prepared, instance, complete=True).records[0]
+    def test_refuted_witness_raises(self, two_obj_triangle):
+        instance = two_obj_triangle
+        assignment = next(a for a in itertools.product((0, 1), repeat=instance.num_vars)
+                          if not is_feasible(instance, a))
         walk = _Walk.build(instance, None)
-        walk.solver.add_clause([-(v + 1) if a else v + 1 for v, a in enumerate(first.assignment)])
-        solver, prepared = _extraction(instance, Fraction(4))
-        with pytest.raises(McsInvariantError, match="refutes the witness"):
-            mcs_approx(solver, prepared, instance, complete=True, walk=walk)
+        with pytest.raises(McsInvariantError, match="violates a constraint"):
+            walk.run(instance, _witness(instance, assignment))
+        assert walk.solver.stats["solve_calls"] == 0
 
-    def test_deadline_in_the_start_solve_keeps_the_witness(self, unconstrained_biobjective,
-                                                          caplog):
+    def test_deadline_in_the_first_round_keeps_the_witness(self, unconstrained_biobjective,
+                                                           caplog):
         caplog.set_level(logging.DEBUG, logger="mobosat.engine")
         instance = unconstrained_biobjective
         solver, prepared = _extraction(instance, Fraction(4))
@@ -323,7 +324,9 @@ class TestWalkSolver:
         caplog.clear()
         outcome = mcs_approx(solver, prepared, instance, complete=True, walk=walk)
         assert outcome.completed and outcome.records == plain.records
-        assert walk.solver.stats["solve_calls"] == len(outcome.records)
+        # the first round's threshold, created past the deadline, raises
+        # before the round solves
+        assert walk.solver.stats["solve_calls"] == 0
         steps = [TestMcsLog.LINE.match(r.getMessage()).group(6) for r in caplog.records
                  if r.getMessage().startswith("mcs ")]
         assert steps == ["0"] * len(outcome.records)
@@ -359,9 +362,9 @@ class TestMcsLog:
         for match in lines:
             solves, conflicts, propagations, rounds, walk = map(int, match.groups()[1:])
             # the extraction solver's first solve and clause-D rounds, then
-            # the walk solver's start solve, the walk's steps and its last,
-            # unsatisfiable step
-            assert solves == 1 + rounds + 1 + walk + 1
+            # the walk's steps and its last, unsatisfiable step: the walk
+            # starts from the witness's assignment, with no solve of its own
+            assert solves == 1 + rounds + walk + 1
             assert propagations > 0
 
     def test_no_walk_on_exact_objectives(self, unconstrained_biobjective, caplog):

@@ -72,6 +72,12 @@ class TestNormalize:
         denoms = protocol_denominators([[(10, 20)]], slack=Fraction(11, 10))
         assert denoms == (11, 22)
 
+    @pytest.mark.parametrize("slack", [Fraction(0), Fraction(-2), Fraction(1, 2)])
+    def test_protocol_rejects_slack_below_one(self, slack):
+        # a denominator at or below a coordinate's maximum drops every point
+        with pytest.raises(ValueError, match="slack"):
+            protocol_denominators([[(10, 20)]], slack=slack)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             normalize([(1,)], (0,))

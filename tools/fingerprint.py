@@ -13,9 +13,8 @@ bounds, the warranted ratio and the truncated flag (the sorted records and
 whether enumeration ran to exhaustion for ``enumerate_efficient_set``);
 one of the sorted lower bounds L and the warranted ratio alone (whether
 enumeration ran to exhaustion for ``enumerate_efficient_set``); then the
-counters summed over every solver the case built, then the threshold
-literals (``Encoder.objective_clauses``) summed over every encoder it
-built.
+counters summed over every solver the case built, the last of them its
+threshold literals (``SatSolver.num_thresholds``).
 
 The two ``core(11)->11`` cases run CoRe's ratio-11 iteration on covering
 instances large enough to restart (5 and 11 restarts), which no other case
@@ -103,28 +102,20 @@ def main() -> None:
     root = Path(parser.parse_args().checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from mobosat import engine, io
-    from mobosat.encode import Encoder
     from mobosat.sat import SatSolver
 
     import workloads
 
     built = []
-    encoders = []
+    init = SatSolver.__init__
 
-    def record(cls, into):
-        init = cls.__init__
+    def recording_init(solver, *args, **kwargs):
+        init(solver, *args, **kwargs)
+        built.append(solver)
 
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            into.append(self)
-
-        cls.__init__ = recording_init
-
-    record(SatSolver, built)
-    record(Encoder, encoders)
+    SatSolver.__init__ = recording_init
     for name, thunk in _cases(engine, io, workloads):
         built.clear()
-        encoders.clear()
         data, outcome, bounds = thunk()
         digests = [hashlib.sha256(b).hexdigest()[:16]
                    for b in (data, repr(outcome).encode(), repr(bounds).encode())]
@@ -132,7 +123,7 @@ def main() -> None:
         totals.append(sum(s.num_vars for s in built))
         totals.append(sum(s.num_clauses for s in built))
         totals.append(sum(len(s.learnt_idxs) for s in built))
-        totals.append(sum(e.objective_clauses for e in encoders))
+        totals.append(sum(s.num_thresholds for s in built))
         print(name, *digests, *totals)
 
 
