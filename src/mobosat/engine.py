@@ -16,10 +16,11 @@ A driver only prepares each iteration:
   the front exact.  Unless the rounding is the identity, each witness is
   then checked by ``model.is_feasible`` and walked to a point that
   dominates it (``_Walk.run``): clause-D rounds from its assignment, with
-  no start solve, over complete domains of the original objectives, in a
-  walk solver of the iteration's own that holds the constraints alone, so
-  a walk that ends before the deadline ends on a Pareto-optimal point of
-  the instance, and the extraction solver carries none of the walk's sums;
+  no start solve, over complete domains of the original objectives and
+  under a bound on their sum, in a walk solver of the iteration's own that
+  holds the constraints alone, so a walk that ends before the deadline
+  ends on a Pareto-optimal point of the instance, and the extraction
+  solver carries none of the walk's sums;
 * the interval driver encodes the original objectives once into one
   growing solver, thins the threshold domains to the ratio's grid, and
   permanently blocks the regions at the images of the previous iteration's
@@ -123,13 +124,14 @@ class IterationTrace:
     """One iteration of a re-approximation driver.
 
     ``objective_clauses`` counts the threshold literals created in the
-    iteration's solvers, over every objective ladder, up to the end of the
+    iteration's solvers, over every linear sum, up to the end of the
     iteration: those of the extraction solver plus those of the walk solver,
     if any (the solvers' linear sums propagate them without clauses; the
     field keeps its name in schema 1).  A complete domain creates only the
     thresholds asked for: those next to each clause-D witness's value and
     those of the region blocks in the extraction solver, and those of the
-    walk's rounds in the walk solver.
+    walk's rounds plus at most one bound on the objectives' sum per walk in
+    the walk solver.
     """
 
     seq: int
@@ -195,16 +197,21 @@ def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
 @dataclass
 class _Walk:
     """Where CoRe walks its witnesses: a solver holding the instance's
-    constraints alone, and complete domains of the original objectives in it."""
+    constraints alone, complete domains of the original objectives in it,
+    and ``total(d)``, the literal of "the objectives' sum is below ``d``"."""
 
     solver: SatSolver
     objectives: List[PreparedObjective]
+    total: Callable[[int], int]
 
     @classmethod
     def build(cls, instance: Instance, deadline: Optional[float]) -> _Walk:
         solver, encoder = _constrained_solver(instance, deadline)
-        return cls(solver, [_complete_ladder(encoder, k, f)
-                            for k, f in enumerate(instance.objectives)])
+        objectives = instance.objectives
+        total = model.normalize_objective([t for f in objectives for t in f.terms],
+                                          sum(f.constant for f in objectives))
+        return cls(solver, [_complete_ladder(encoder, k, f) for k, f in enumerate(objectives)],
+                   encode_objective(encoder, len(objectives), total).encode_lt)
 
     def run(self, instance: Instance, witness: SolutionRecord) -> Tuple[SolutionRecord, int]:
         """Walk ``witness`` to a record whose image dominates it, and the walk's steps.
@@ -214,17 +221,22 @@ class _Walk:
         before it, ``clause_d`` runs over complete domains of the original
         objectives: a round from image ``z`` asks for ``f_j < z_j + 1`` on
         every objective and ``f_k < z_k`` on some (the Pareto-MCS step of
-        Terra-Neves, Lynce & Manquinho, SAT 2017).  The walk stops at the first
-        unsatisfiable round, on a Pareto-optimal point of the instance, or at
-        the deadline, on the last model.
+        Terra-Neves, Lynce & Manquinho, SAT 2017), each under the bound "the
+        objectives' sum is below the witness's".  A point that dominates the
+        witness has a smaller sum, so the bound removes nothing a round looks
+        for, and it lets propagation refute a round sooner.  The walk stops at
+        the first unsatisfiable round, on a Pareto-optimal point of the
+        instance, or at the deadline, on the last model.
         """
         if not model.is_feasible(instance, witness.assignment):
             raise McsInvariantError(f"the witness {witness.assignment} violates a constraint")
         start = (0,) + tuple(1 if a else -1 for a in witness.assignment)
-        last, steps = start, -1  # clause_d yields the start first
+        last, steps = start, 0  # clause_d yields the start first, at step 0
         try:
-            for last, _ in clause_d(self.solver, LadderSoftSet(tuple(self.objectives)), (), start):
-                steps += 1
+            base = (self.total(sum(witness.image)),)
+            softs = LadderSoftSet(tuple(self.objectives))
+            for steps, (last, _) in enumerate(clause_d(self.solver, softs, base, start)):
+                pass
         except SolveBudgetExceeded:
             pass
         return _record(instance, last), steps
@@ -391,11 +403,12 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     the rounded images of known solutions, which also seed its lower bounds,
     and runs the MCS enumerator.  Unless the rounding is the identity, the
     iteration also builds a walk solver over the constraints alone, with
-    complete domains of the original objectives, checks each witness with
-    ``model.is_feasible`` and walks it there, from its assignment and with
-    no start solve, to a Pareto-optimal point that dominates it.  Stops when
-    the rounding is the identity (the front is then exact), the target ratio
-    is warranted, or the budget runs out.
+    complete domains of the original objectives and their sum, checks each
+    witness with ``model.is_feasible`` and walks it there, from its
+    assignment, with no start solve and under a bound on the sum, to a
+    Pareto-optimal point that dominates it.  Stops when the rounding is the
+    identity (the front is then exact), the target ratio is warranted, or
+    the budget runs out.
     """
     deadline = _deadline(schedule.budget_s)
     base: Optional[tuple] = _constrained_solver(instance, deadline)

@@ -873,6 +873,7 @@ class SatSolver:
             assume_codes.append(code)
         conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])
         deadline = self.deadline
+        num_vars = len(self.level) - 1
         while True:
             if deadline is not None and time.monotonic() > deadline:
                 self._cancel_until(0)
@@ -901,6 +902,7 @@ class SatSolver:
                         self._split(lin)
                 if not self.ok:
                     return False
+                num_vars = len(self.level) - 1  # a split adds variables
                 conflicts_left = self.RESTART_BASE * _luby(self.stats["restarts"])
                 continue
             if len(self.trail_lim) < len(assume_codes):
@@ -915,7 +917,7 @@ class SatSolver:
                 self.trail_lim.append(len(self.trail))
                 self._unchecked_enqueue(code, None)
                 continue
-            if len(self.trail) == self.num_vars:
+            if len(self.trail) == num_vars:
                 self.order.clear()  # a model: nothing is left to pop
                 self.model = self.litval[0::2]
                 self._cancel_until(0)

@@ -174,16 +174,18 @@ class TestCoefficientDriver:
         # the one MCS ask the extraction solver for 11 next to their
         # witnesses' values, and the walk of its witness, already at
         # (3, 45), asks the walk solver for one improve and one hold
-        # threshold per objective, 4.  At ratio 2 the region block of the
-        # known record and one round ask for 5; the witness, at (3, 53),
-        # walks one step to (3, 45): 4 thresholds for the first round and
-        # 2 for the second objective, whose cut moved.  At ratios 11/10 and
-        # 101/100 only the region block of the known record asks, for one
-        # threshold per objective, and no MCS is left to walk
+        # threshold per objective, 4, and for the bound of the objectives'
+        # sum below 48, 1.  At ratio 2 the region block of the known record
+        # and one round ask for 5; the witness, at (3, 53), walks one step to
+        # (3, 45): 4 thresholds for the first round, 2 for the second
+        # objective, whose cut moved, and 1 for the bound below 56, which
+        # the second round keeps.  At ratios 11/10 and 101/100 only the
+        # region block of the known record asks, for one threshold per
+        # objective, and no MCS is left to walk
         result = core_solve(generate_mscp(20, 6, 2, seed=5),
                             RatioSchedule(start=11, divisor=10))
         assert [(t.ratio, t.objective_clauses, t.mcs_count) for t in result.trace] == [
-            (11, 11 + 4, 1), (2, 5 + 4 + 2, 1), (Fraction(11, 10), 2, 0),
+            (11, 11 + 4 + 1, 1), (2, 5 + 4 + 2 + 1, 1), (Fraction(11, 10), 2, 0),
             (Fraction(101, 100), 2, 0)]
         assert result.warranted_ratio == 1
         assert len(result.records) == 1
@@ -221,6 +223,46 @@ class TestParetoWalk:
                 walked, _ = walk.run(instance, _witness(instance, assignment))
                 assert walked.image in front
                 assert weakly_dominates(walked.image, image(instance, assignment))
+
+    def test_sum_bound_over_opposite_polarities(self):
+        # in the objectives' sum x1 and x3 cancel into its constant, x2 keeps
+        # 1, x4 flips to 2~x4 and x5 to ~x5: a bound on that sum that missed
+        # an offset would refute a round that can still improve
+        x = [None] + [Literal(v) for v in range(1, 6)]
+        nx = [None] + [Literal(v, True) for v in range(1, 6)]
+        instance = Instance(
+            num_vars=5,
+            constraints=(PBConstraint(LinearExpr(((1, x[1]), (1, x[2]), (1, x[4]))), 2),),
+            objectives=(
+                LinearExpr(((3, x[1]), (2, x[2]), (1, nx[3]), (2, x[5])), 1),
+                LinearExpr(((3, nx[1]), (1, x[3]), (3, nx[4]), (1, nx[5]))),
+                LinearExpr(((1, nx[2]), (1, x[4]), (2, nx[5])), 2),
+            ),
+        )
+        walk = _Walk.build(instance, None)
+        front = set(brute_force_pareto(instance).pareto_front)
+        for assignment in itertools.product((0, 1), repeat=instance.num_vars):
+            if is_feasible(instance, assignment):
+                walked, steps = walk.run(instance, _witness(instance, assignment))
+                assert walked.image in front
+                assert weakly_dominates(walked.image, image(instance, assignment))
+                assert (steps >= 1) == (image(instance, assignment) not in front)
+
+    def test_constant_sum_keeps_every_start(self):
+        # f1 + f2 == 2 everywhere: every point is on the front, and each walk
+        # ends after one solve under the constant-false bound of a sum with
+        # no terms
+        instance = Instance(
+            num_vars=2, constraints=(),
+            objectives=(LinearExpr(((1, Literal(1)), (1, Literal(2)))),
+                        LinearExpr(((1, Literal(1, True)), (1, Literal(2, True))))),
+        )
+        walk = _Walk.build(instance, None)
+        for assignment in itertools.product((0, 1), repeat=instance.num_vars):
+            start = _witness(instance, assignment)
+            calls = walk.solver.stats["solve_calls"]
+            assert walk.run(instance, start) == (start, 0)
+            assert walk.solver.stats["solve_calls"] == calls + 1
 
     def test_walk_stops_at_the_deadline(self, unconstrained_biobjective):
         instance = unconstrained_biobjective
