@@ -162,7 +162,8 @@ def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence
 
 def clause_d(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet], base: Sequence[int],
              witness: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-    """Clause-D rounds from ``witness``, a model of the solver under ``base``.
+    """Clause-D rounds from ``witness``, a model of the solver's clauses,
+    each round solving under ``base``.
 
     Yields the witness and then the model each round finds, each with its
     cuts, and ends at the first unsatisfiable round.  Because threshold
