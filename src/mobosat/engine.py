@@ -201,7 +201,7 @@ class _Walk:
     and ``total(d)``, the literal of "the objectives' sum is below ``d``"."""
 
     solver: SatSolver
-    objectives: List[PreparedObjective]
+    softs: LadderSoftSet
     total: Callable[[int], int]
 
     @classmethod
@@ -210,7 +210,8 @@ class _Walk:
         objectives = instance.objectives
         total = model.normalize_objective([t for f in objectives for t in f.terms],
                                           sum(f.constant for f in objectives))
-        return cls(solver, [_complete_ladder(encoder, k, f) for k, f in enumerate(objectives)],
+        ladders = tuple(_complete_ladder(encoder, k, f) for k, f in enumerate(objectives))
+        return cls(solver, LadderSoftSet(ladders),
                    encode_objective(encoder, len(objectives), total).encode_lt)
 
     def run(self, instance: Instance, witness: SolutionRecord) -> Tuple[SolutionRecord, int]:
@@ -234,8 +235,7 @@ class _Walk:
         last, steps = start, 0  # clause_d yields the start first, at step 0
         try:
             base = (self.total(sum(witness.image)),)
-            softs = LadderSoftSet(tuple(self.objectives))
-            for steps, (last, _) in enumerate(clause_d(self.solver, softs, base, start)):
+            for steps, (last, _) in enumerate(clause_d(self.solver, self.softs, base, start)):
                 pass
         except SolveBudgetExceeded:
             pass

@@ -43,7 +43,7 @@ The fast paths rely on these invariants:
 - every unassigned variable is in the branching heap: a variable leaves it
   only when popped, and ``_cancel_until`` puts back each one it undoes;
 - a solve that finds every variable assigned empties the heap in one pass
-  (``_VarOrder.clear``), which leaves it as popping it empty would, so the
+  (in ``solve``), which leaves it as popping it empty would, so the
   re-entry order of the ``_cancel_until(0)`` that follows is unchanged;
 - outside ``solve`` the solver is at decision level 0: every exit of
   ``solve`` (a model, UNSAT, a false assumption, SolveBudgetExceeded, a bad
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 # largest split (SatSolver._split), in threshold variables per term: on
 # criterion 8's objectives, rounded at ratio 11 they need 5 to 9, with their
@@ -89,77 +89,6 @@ def _to_code(lit: int) -> int:
 def _from_code(code: int) -> int:
     var = code >> 1
     return -var if code & 1 else var
-
-
-class _VarOrder:
-    """Indexed binary max-heap over variable activities (deterministic)."""
-
-    def __init__(self, activity: List[float]):
-        self.activity = activity
-        self.heap: List[int] = []
-        self.pos: List[int] = [-1]  # heap index per var, -1 when out
-
-    def update(self, var: int) -> None:
-        """Sift ``var`` up after its activity grew, if it is in the heap."""
-        heap, pos, activity = self.heap, self.pos, self.activity
-        i = pos[var]
-        ax = activity[var]
-        while i > 0:
-            parent = (i - 1) >> 1
-            y = heap[parent]
-            if ax > activity[y]:
-                heap[i] = y
-                pos[y] = i
-                i = parent
-            else:
-                break
-        if i >= 0:
-            heap[i] = var
-            pos[var] = i
-
-    def pop_unassigned(self, litval: List[int]) -> int:
-        """Pop variables until one is unassigned in ``litval`` and return it.
-        Some variable must be unassigned: as each one is in the heap, the
-        loop finds it before the heap runs out."""
-        heap, pos, activity = self.heap, self.pos, self.activity
-        while True:
-            top = heap[0]
-            x = heap.pop()
-            pos[top] = -1
-            if heap:
-                # sift the last variable down from the root
-                ax = activity[x]
-                size = len(heap)
-                i = 0
-                while True:
-                    child = 2 * i + 1
-                    if child >= size:
-                        break
-                    y = heap[child]
-                    ay = activity[y]
-                    if child + 1 < size:
-                        z = heap[child + 1]
-                        if activity[z] > ay:
-                            child += 1
-                            y = z
-                            ay = activity[z]
-                    if ay > ax:
-                        heap[i] = y
-                        pos[y] = i
-                        i = child
-                    else:
-                        break
-                heap[i] = x
-                pos[x] = i
-            if litval[top << 1] == 0:
-                return top
-
-    def clear(self) -> None:
-        """Take every variable out of the heap, as popping it empty would."""
-        pos = self.pos
-        for var in self.heap:
-            pos[var] = -1
-        self.heap.clear()
 
 
 def _luby(i: int) -> int:
@@ -239,18 +168,12 @@ class _Linear:
                  "fsum", "fstack", "tstack", "fwalked", "twalked", "dirty", "explained", "settled")
 
     def __init__(self, total: int):
+        # the terms and their counts are set by SatSolver._set_terms
         self.total = total
-        self.terms: List[Tuple[int, int]] = []  # set by SatSolver._set_terms
-        self.weight: Dict[int, int] = {}
-        self.trues: List[int] = []
-        self.tsum = [0]
-        self.falses: List[int] = []
-        self.fsum = [0]
         self.bounds: List[int] = []
         self.vars: List[int] = []
         self.fstack: List[Tuple[int, int]] = [(0, -1)]
         self.tstack: List[Tuple[int, int]] = [(self.total + 1, -1)]
-        self.fwalked = self.twalked = 1
         self.dirty = False
         self.explained = 0
         self.settled = False
@@ -294,15 +217,17 @@ class SatSolver:
         self.phase: List[int] = [0]  # saved polarity, 0 -> assign false first
         # literal-code-indexed watch lists: watches[code] holds (clause, blocker)
         # pairs to visit when literal `code` becomes false; the clause is the
-        # list in `clauses` itself
+        # list in `clauses` or `learnts` itself
         self.watches: List[List] = [[], []]
-        self.clauses: List[List[int]] = []
-        self.learnt_idxs: List[int] = []
-        self.num_clauses = 0  # problem clauses attached (learnt ones excluded)
+        self.clauses: List[List[int]] = []  # problem clauses of two literals or more
+        self.learnts: List[List[int]] = []  # learnt clauses of two literals or more
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.qhead = 0
-        self.order = _VarOrder(self.activity)
+        # branching order: an indexed binary max-heap of variables over
+        # `activity`, and each variable's index in it (-1 when out)
+        self.heap: List[int] = []
+        self.heap_pos: List[int] = [-1]
         self.var_inc = 1.0
         self.model: List[int] = []
         # linear sums; lwatch[code] holds (sum, kind, value) to visit when
@@ -328,6 +253,11 @@ class SatSolver:
         return len(self.level) - 1
 
     @property
+    def num_clauses(self) -> int:
+        """Problem clauses attached (learnt ones excluded)."""
+        return len(self.clauses)
+
+    @property
     def num_thresholds(self) -> int:
         """Threshold variables created over every linear sum."""
         return sum(len(lin.vars) for lin in self.linears)
@@ -345,8 +275,8 @@ class SatSolver:
         self.lwatch.append([])
         self.lwatch.append([])
         # at activity 0 it sits at the end of the heap without a sift
-        self.order.pos.append(len(self.order.heap))
-        self.order.heap.append(var)
+        self.heap_pos.append(len(self.heap))
+        self.heap.append(var)
         return var
 
     def new_linear(self, terms: Iterable[Tuple[int, int]]) -> _Linear:
@@ -435,8 +365,19 @@ class SatSolver:
             raise SolveBudgetExceeded()
         var = self.new_var()
         self.phase[var] = 1
-        self.activity[var] = self.var_inc
-        self.order.update(var)
+        self.activity[var] = ax = self.var_inc
+        heap, pos, activity = self.heap, self.heap_pos, self.activity
+        k = pos[var]  # sift it up from the heap's end
+        while k > 0:
+            parent = (k - 1) >> 1
+            y = heap[parent]
+            if ax <= activity[y]:
+                break
+            heap[k] = y
+            pos[y] = k
+            k = parent
+        heap[k] = var
+        pos[var] = k
         lin.bounds.insert(i, bound)
         lin.vars.insert(i, var)
         lin.fwalked = lin.twalked = 1  # the chains must reach the new variable
@@ -473,17 +414,13 @@ class SatSolver:
             self._unchecked_enqueue(filtered[0], None)
             self.propagate_root()
             return
-        self._attach(filtered, learnt=False)
+        self._attach(filtered, self.clauses)
 
-    def _attach(self, codes: List[int], learnt: bool) -> None:
-        idx = len(self.clauses)
-        self.clauses.append(codes)
+    def _attach(self, codes: List[int], store: List[List[int]]) -> None:
+        """Keep the clause ``codes`` in ``store`` and watch its first two literals."""
+        store.append(codes)
         self.watches[codes[0]].append((codes, codes[1]))
         self.watches[codes[1]].append((codes, codes[0]))
-        if learnt:
-            self.learnt_idxs.append(idx)
-        else:
-            self.num_clauses += 1
 
     # ------------------------------------------------------------------
     # assignment / propagation
@@ -586,14 +523,13 @@ class SatSolver:
                 del ws[j:]
             if confl is not None or not dirty:
                 break
-            batch = dirty[:]
-            dirty.clear()
-            for lin in batch:
+            for lin in dirty:
                 lin.dirty = False
-            for lin in batch:
+            for lin in dirty:  # no sum it runs adds to dirty
                 confl = self._run_linear(lin)
                 if confl is not None:
                     break
+            dirty.clear()
             if confl is not None:
                 break
         if confl is not None:
@@ -731,7 +667,7 @@ class SatSolver:
         trail = self.trail
         bound = self.trail_lim[target]
         litval, phase, activity = self.litval, self.phase, self.activity
-        heap, pos = self.order.heap, self.order.pos
+        heap, pos = self.heap, self.heap_pos
         # undo in reverse trail order, re-entering each variable into the
         # heap (sifted up) as it is undone
         for code in reversed(trail[bound:]):
@@ -776,7 +712,7 @@ class SatSolver:
 
     def _analyze(self, confl: List[int]) -> tuple[List[int], int]:
         level, reason, trail = self.level, self.reason, self.trail
-        activity, heap, pos = self.activity, self.order.heap, self.order.pos
+        activity, heap, pos = self.activity, self.heap, self.heap_pos
         learnt = [0]
         seen = bytearray(len(level))
         counter = 0
@@ -854,6 +790,42 @@ class SatSolver:
     # ------------------------------------------------------------------
     # search
 
+    def _pop_unassigned(self) -> int:
+        """Pop the heap until an unassigned variable comes off and return it:
+        as every unassigned variable is in the heap, one does before it empties."""
+        heap, pos, activity, litval = self.heap, self.heap_pos, self.activity, self.litval
+        while True:
+            top = heap[0]
+            x = heap.pop()
+            pos[top] = -1
+            if heap:
+                # sift the last variable down from the root
+                ax = activity[x]
+                size = len(heap)
+                i = 0
+                while True:
+                    child = 2 * i + 1
+                    if child >= size:
+                        break
+                    y = heap[child]
+                    ay = activity[y]
+                    if child + 1 < size:
+                        z = heap[child + 1]
+                        if activity[z] > ay:
+                            child += 1
+                            y = z
+                            ay = activity[z]
+                    if ay > ax:
+                        heap[i] = y
+                        pos[y] = i
+                        i = child
+                    else:
+                        break
+                heap[i] = x
+                pos[x] = i
+            if litval[top << 1] == 0:
+                return top
+
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """Solve under unit assumptions.
 
@@ -890,7 +862,7 @@ class SatSolver:
                 if len(learnt) == 1:
                     self._unchecked_enqueue(learnt[0], None)
                 else:
-                    self._attach(learnt, learnt=True)
+                    self._attach(learnt, self.learnts)
                     self._unchecked_enqueue(learnt[0], learnt)
                 self.var_inc /= self.VAR_DECAY
                 continue
@@ -918,13 +890,16 @@ class SatSolver:
                 self._unchecked_enqueue(code, None)
                 continue
             if len(self.trail) == num_vars:
-                self.order.clear()  # a model: nothing is left to pop
+                pos = self.heap_pos  # a model: nothing is left to pop
+                for var in self.heap:
+                    pos[var] = -1
+                self.heap.clear()
                 self.model = self.litval[0::2]
                 self._cancel_until(0)
                 if self.check_models:
                     self._verify_model(assume_codes)
                 return True
-            var = self.order.pop_unassigned(self.litval)
+            var = self._pop_unassigned()
             self.stats["decisions"] += 1
             self.trail_lim.append(len(self.trail))
             self._unchecked_enqueue((var << 1) | (self.phase[var] ^ 1), None)
@@ -938,10 +913,7 @@ class SatSolver:
             value = model[code >> 1]
             if (value == -1) != bool(code & 1):
                 raise AssertionError(f"model violates assumption {_from_code(code)}")
-        learnt = set(self.learnt_idxs)
-        for idx, cl in enumerate(self.clauses):
-            if idx in learnt:
-                continue
+        for cl in self.clauses:
             for code in cl:
                 value = model[code >> 1]
                 if (value == -1) == bool(code & 1):
@@ -992,12 +964,9 @@ class SatSolver:
         ``num_vars``."""
         from .encode import threshold_cnf  # encode builds on this module
 
-        learnt = set(self.learnt_idxs)
         clauses = [] if self.ok else [[]]  # a refuted formula keeps its refutation
         clauses += [[_from_code(code)] for code in self.trail]
-        for idx, cl in enumerate(self.clauses):
-            if idx not in learnt:
-                clauses.append([_from_code(c) for c in cl])
+        clauses += [[_from_code(c) for c in cl] for cl in self.clauses]
         num_vars = self.num_vars
         for lin in self.linears:
             num_vars, defined = threshold_cnf(num_vars, lin.signed_terms(), lin.thresholds())

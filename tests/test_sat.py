@@ -197,7 +197,7 @@ class TestSearchIdentity:
                 models.append(solver.model_assignment() if solver.solve(assumptions) else None)
         assert solver.stats == {"solve_calls": 12, "decisions": 2565, "conflicts": 1390,
                                 "propagations": 46860, "restarts": 8}
-        assert len(solver.learnt_idxs) == 1390
+        assert len(solver.learnts) == 1390
         assert [m is None for m in models] == [False] * 11 + [True]
         assert _digest(models) == "913566a1af16b378"
         assert solver.var_inc == pytest.approx(final_var_inc, rel=1e-12)
@@ -228,7 +228,7 @@ class TestSearchIdentity:
             (-1, -1, -1, 1), (-1, 1, 1, 1), (1, 1, 1, 1)]
         assert solver.stats == {"solve_calls": 16, "decisions": 17, "conflicts": 12,
                                 "propagations": 342, "restarts": 0}
-        assert len(solver.learnt_idxs) == 10
+        assert len(solver.learnts) == 10
         assert _digest(models) == "a91aa1e2d0e3ffcd"
 
     def test_analysis_resolves_through_binary_reasons(self):
@@ -241,7 +241,7 @@ class TestSearchIdentity:
         for assumptions in ([1], [1, 3], [-1, 3], [5, 1]):
             answers.append(solver.solve(assumptions) and solver.model_assignment())
         assert answers == [(1, 0, 0, 0, 0, 1), False, (0, 1, 1, 1, 1, 1), (1, 1, 0, 1, 1, 1)]
-        assert [[_from_code(c) for c in solver.clauses[i]] for i in solver.learnt_idxs] == [[-3, -1]]
+        assert [[_from_code(c) for c in cl] for cl in solver.learnts] == [[-3, -1]]
         assert solver.stats == {"solve_calls": 4, "decisions": 6, "conflicts": 1,
                                 "propagations": 24, "restarts": 0}
 
@@ -278,17 +278,17 @@ class TestHeapLayout:
         checked = []
 
         def checked_cancel(target):
-            heap, pos = list(solver.order.heap), list(solver.order.pos)
+            heap, pos = list(solver.heap), list(solver.heap_pos)
             if len(solver.trail_lim) > target:
                 undone = solver.trail[solver.trail_lim[target]:]
                 reference_insert(heap, pos, solver.activity, reversed(undone))
                 checked.append(len(undone))
             cancel(target)
-            assert (solver.order.heap, solver.order.pos) == (heap, pos)
+            assert (solver.heap, solver.heap_pos) == (heap, pos)
 
         def checked_analyze(confl):
             result = analyze(confl)
-            heap, pos, activity = solver.order.heap, solver.order.pos, solver.activity
+            heap, pos, activity = solver.heap, solver.heap_pos, solver.activity
             assert all(pos[x] == i for i, x in enumerate(heap))
             assert all(activity[heap[(i - 1) >> 1]] >= activity[heap[i]]
                        for i in range(1, len(heap)))
@@ -318,7 +318,7 @@ class TestHeapLayout:
 
         def recording_cancel(target):
             above = solver.trail[solver.trail_lim[0]:] if solver.trail_lim else []
-            last[:] = [list(solver.order.heap), list(solver.order.pos), above]
+            last[:] = [list(solver.heap), list(solver.heap_pos), above]
             cancel(target)
 
         solver._cancel_until = recording_cancel
@@ -331,7 +331,7 @@ class TestHeapLayout:
                 heap, pos, above = last
                 assert heap == [] and set(pos) == {-1}
                 reference_insert(heap, pos, solver.activity, reversed(above))
-                assert (solver.order.heap, solver.order.pos) == (heap, pos)
+                assert (solver.heap, solver.heap_pos) == (heap, pos)
                 models += 1
         assert models > 10 and solver.stats["conflicts"] > 100
 
@@ -339,14 +339,14 @@ class TestHeapLayout:
         # the assumption 1 implies every other variable, so the solve finds
         # its model without a decision and without popping the heap
         pops = []
-        pop = sat._VarOrder.pop_unassigned
-        monkeypatch.setattr(sat._VarOrder, "pop_unassigned",
-                            lambda order, litval: pops.append(1) or pop(order, litval))
+        pop = SatSolver._pop_unassigned
+        monkeypatch.setattr(SatSolver, "_pop_unassigned",
+                            lambda solver: pops.append(1) or pop(solver))
         solver = make_solver(4, [[-1, 2], [-2, -3], [3, 4], [-4, 1]])
         assert solver.solve([1])
         assert solver.model_assignment() == (1, 1, 0, 1)
         assert solver.stats["decisions"] == 0 and pops == []
-        assert sorted(solver.order.heap) == [1, 2, 3, 4]
+        assert sorted(solver.heap) == [1, 2, 3, 4]
         assert solver.solve()  # the root is free: the search decides
         assert solver.stats["decisions"] > 0 and pops
 
@@ -422,7 +422,7 @@ class TestExtras:
         problem = [[1, 2, 3], [1, 2, -3], [1, -2, 3], [-1, 2, 3]]
         solver = make_solver(3, problem)
         assert solver.solve()
-        assert solver.learnt_idxs
+        assert solver.learnts
         lines = solver.to_dimacs().strip().splitlines()
         assert lines[0] == "p cnf 3 4"
         dumped = {frozenset(int(t) for t in line.split()[:-1]) for line in lines[1:]}
@@ -574,7 +574,7 @@ class TestLinear:
         solver = make_solver(4, [[1, 2, 3, 4]])
         lin = solver.new_linear([(3, 1), (2, -2), (2, 3), (1, 4)])
         ys = [solver.threshold(lin, b) for b in range(1, 9)]
-        assert all(solver.order.pos[y] >= 0 and solver.phase[y] == 1 for y in ys)
+        assert all(solver.heap_pos[y] >= 0 and solver.phase[y] == 1 for y in ys)
         for assumptions in ([], [1], [-3, 2], [ys[3]], [-ys[5], ys[6]]):
             if solver.solve(assumptions):
                 assert all(solver.model[y] != 0 for y in ys)

@@ -26,8 +26,12 @@ A change that must not alter search or results prints the same lines as
 its parent:
 
     python3 tools/fingerprint.py > new.txt
-    python3 tools/fingerprint.py ../parent > old.txt
+    python3 ../parent/tools/fingerprint.py ../parent > old.txt
     diff old.txt new.txt
+
+Run each checkout's own copy of this file, as above: it reads the solver's
+attributes, and a checkout from before the solver kept its learnt clauses
+in ``learnts`` names them by ``learnt_idxs``, which this copy cannot read.
 
 A change that moves the search but not the results may change the result
 digest and the counters, since the JSON also holds the order in which
@@ -122,7 +126,7 @@ def main() -> None:
         totals = [sum(s.stats[c] for s in built) for c in COUNTERS]
         totals.append(sum(s.num_vars for s in built))
         totals.append(sum(s.num_clauses for s in built))
-        totals.append(sum(len(s.learnt_idxs) for s in built))
+        totals.append(sum(len(s.learnts) for s in built))
         totals.append(sum(s.num_thresholds for s in built))
         print(name, *digests, *totals)
 
