@@ -15,12 +15,12 @@ A driver only prepares each iteration:
   around known solutions under that rounding; an identity rounding proves
   the front exact.  Unless the rounding is the identity, each witness is
   then checked by ``model.is_feasible`` and walked to a point that
-  dominates it (``_Walk.run``): clause-D rounds from its assignment, with
-  no start solve, over complete domains of the original objectives and
-  under a bound on their sum, in a walk solver of the iteration's own that
-  holds the constraints alone, so a walk that ends before the deadline
-  ends on a Pareto-optimal point of the instance, and the extraction
-  solver carries none of the walk's sums;
+  dominates it (``_Walk.run``): from its image, with no start solve, a loop
+  of solves under assumptions alone, a bound on the objectives' sum and
+  one threshold per original objective, in a walk solver of the
+  iteration's own that holds the constraints alone, so a walk that ends
+  before the deadline ends on a Pareto-optimal point of the instance, and
+  the extraction solver carries none of the walk's sums;
 * the interval driver encodes the original objectives once into one
   growing solver, thins the threshold domains to the ratio's grid, and
   permanently blocks the regions at the images of the previous iteration's
@@ -54,7 +54,6 @@ from .mcs import (
     McsInvariantError,
     PreparedObjective,
     check_witness_bounds,
-    clause_d,
     extract_mcs,
 )
 from .model import (
@@ -129,9 +128,9 @@ class IterationTrace:
     if any (the solvers' linear sums propagate them without clauses; the
     field keeps its name in schema 1).  A complete domain creates only the
     thresholds asked for: those next to each clause-D witness's value and
-    those of the region blocks in the extraction solver, and those of the
-    walk's rounds plus at most one bound on the objectives' sum per walk in
-    the walk solver.
+    those of the region blocks in the extraction solver, and in the walk
+    solver at most p + 1 per walk step, one per objective and one bound on
+    the objectives' sum.
     """
 
     seq: int
@@ -197,11 +196,12 @@ def _witnesses(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
 @dataclass
 class _Walk:
     """Where CoRe walks its witnesses: a solver holding the instance's
-    constraints alone, complete domains of the original objectives in it,
-    and ``total(d)``, the literal of "the objectives' sum is below ``d``"."""
+    constraints alone, ``below[j](d)``, the literal of ``f_j < d`` for each
+    original objective, and ``total(d)``, that of "the objectives' sum is
+    below ``d``"."""
 
     solver: SatSolver
-    softs: LadderSoftSet
+    below: Tuple[Callable[[int], int], ...]
     total: Callable[[int], int]
 
     @classmethod
@@ -210,36 +210,44 @@ class _Walk:
         objectives = instance.objectives
         total = model.normalize_objective([t for f in objectives for t in f.terms],
                                           sum(f.constant for f in objectives))
-        ladders = tuple(_complete_ladder(encoder, k, f) for k, f in enumerate(objectives))
-        return cls(solver, LadderSoftSet(ladders),
-                   encode_objective(encoder, len(objectives), total).encode_lt)
+        below = tuple(encode_objective(encoder, k, f).encode_lt for k, f in enumerate(objectives))
+        return cls(solver, below, encode_objective(encoder, len(objectives), total).encode_lt)
 
     def run(self, instance: Instance, witness: SolutionRecord) -> Tuple[SolutionRecord, int]:
         """Walk ``witness`` to a record whose image dominates it, and the walk's steps.
 
         A witness that violates a constraint (``model.is_feasible``) raises
-        McsInvariantError.  From the witness's assignment, with no solve
-        before it, ``clause_d`` runs over complete domains of the original
-        objectives: a round from image ``z`` asks for ``f_j < z_j + 1`` on
-        every objective and ``f_k < z_k`` on some (the Pareto-MCS step of
-        Terra-Neves, Lynce & Manquinho, SAT 2017), each under the bound "the
-        objectives' sum is below the witness's".  A point that dominates the
-        witness has a smaller sum, so the bound removes nothing a round looks
-        for, and it lets propagation refute a round sooner.  The walk stops at
-        the first unsatisfiable round, on a Pareto-optimal point of the
-        instance, or at the deadline, on the last model.
+        McsInvariantError.  From the witness's image, with no solve before
+        it, each step from image ``z`` solves under the assumptions "the
+        objectives' sum is below ``sum(z)``" and ``f_j < z_j + 1`` for every
+        objective: for integer images these ask for a point that dominates
+        ``z`` (the Pareto-MCS step of Terra-Neves, Lynce & Manquinho, SAT
+        2017), with no clause and no selector.  A step's model must set every
+        assumption true, and its record must dominate ``z``; a breach raises
+        McsInvariantError.  The walk stops at the first unsatisfiable step, on
+        a Pareto-optimal point of the instance, or at the deadline, on the
+        last record.
         """
         if not model.is_feasible(instance, witness.assignment):
             raise McsInvariantError(f"the witness {witness.assignment} violates a constraint")
-        start = (0,) + tuple(1 if a else -1 for a in witness.assignment)
-        last, steps = start, 0  # clause_d yields the start first, at step 0
+        last, steps = witness, 0
         try:
-            base = (self.total(sum(witness.image)),)
-            for steps, (last, _) in enumerate(clause_d(self.solver, self.softs, base, start)):
-                pass
+            while True:
+                z = last.image
+                wanted = [self.total(sum(z))] + [lt(d + 1) for lt, d in zip(self.below, z)]
+                if not self.solver.solve(wanted):
+                    break
+                values = self.solver.model
+                if not all((values[abs(lit)] == 1) == (lit > 0) for lit in wanted):
+                    raise McsInvariantError(f"a walk step's model falsifies an assumption of {z}")
+                record = _record(instance, values)
+                if record.image == z or not weakly_dominates(record.image, z):
+                    raise McsInvariantError(f"walk step from {z} to {record.image} does not "
+                                            "dominate it")
+                last, steps = record, steps + 1
         except SolveBudgetExceeded:
             pass
-        return _record(instance, last), steps
+        return last, steps
 
 
 def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instance: Instance,
@@ -249,12 +257,13 @@ def mcs_approx(solver: SatSolver, prepared: Sequence[PreparedObjective], instanc
 
     Records carry the witness assignment and its image under the *original*
     objectives; lower bounds are the representative points.  With ``walk``,
-    each witness is first walked from its assignment to a record that
-    dominates it, in the walk solver alone (``_Walk.run``): the enumerating
-    solver makes the same solves with or without it.  Region blocks are
-    guarded by ``guard`` when given (so the caller can retire them).  Each
-    MCS logs one DEBUG line with the work it took, summed over both solvers:
-    solve calls, conflicts, propagations, clause-D rounds and walk steps.
+    each witness is first walked from its image to a record that dominates
+    it, by solves under assumptions in the walk solver alone
+    (``_Walk.run``): the enumerating solver makes the same solves with or
+    without it.  Region blocks are guarded by ``guard`` when given (so the
+    caller can retire them).  Each MCS logs one DEBUG line with the work it
+    took, summed over both solvers: solve calls, conflicts, propagations,
+    clause-D rounds and walk steps.
     """
     records: List[SolutionRecord] = []
     reps: List[Point] = []
@@ -403,12 +412,12 @@ def core_solve(instance: Instance, schedule: RatioSchedule) -> ApproxResult:
     the rounded images of known solutions, which also seed its lower bounds,
     and runs the MCS enumerator.  Unless the rounding is the identity, the
     iteration also builds a walk solver over the constraints alone, with
-    complete domains of the original objectives and their sum, checks each
-    witness with ``model.is_feasible`` and walks it there, from its
-    assignment, with no start solve and under a bound on the sum, to a
-    Pareto-optimal point that dominates it.  Stops when the rounding is the
-    identity (the front is then exact), the target ratio is warranted, or
-    the budget runs out.
+    ladders of the original objectives and their sum, checks each witness
+    with ``model.is_feasible`` and walks it there, from its image, with no
+    start solve, by solves under a bound on the sum and one threshold per
+    objective, to a Pareto-optimal point that dominates it.  Stops when the
+    rounding is the identity (the front is then exact), the target ratio is
+    warranted, or the budget runs out.
     """
     deadline = _deadline(schedule.budget_s)
     base: Optional[tuple] = _constrained_solver(instance, deadline)

@@ -1,4 +1,4 @@
-"""Minimal correction subset extraction and the Pareto walk: one clause-D loop.
+"""Minimal correction subset extraction: one clause-D loop.
 
 ``clause_d`` runs "clause D" rounds from a model of the hard clauses: split
 the soft literals into satisfied and falsified, add the disjunction of the
@@ -9,9 +9,8 @@ thresholds ``f < d`` of each objective, the falsified set per objective is
 a downward-closed prefix of its threshold domain, and the representative /
 successor points are the largest falsified and smallest satisfied
 thresholds.  ``extract_mcs`` solves once and runs the rounds to their end,
-which leaves an MCS and its witness; the engine's Pareto walk runs them
-over complete domains of the original objectives from a witness's
-assignment alone, checked by ``model.is_feasible``, with no start solve.
+which leaves an MCS and its witness.  The engine's Pareto walk does not
+run them: it solves under assumptions alone (``engine._Walk.run``).
 
 The loop reads a model's prefix length per objective, its cut, from one of
 two soft sets.  A ``SoftSet`` holds explicit ``(d, literal)`` pairs and
@@ -140,11 +139,18 @@ class LadderSoftSet:
 class Mcs:
     """One minimal correction subset with its bounding points and witness."""
 
-    falsified: Tuple[Tuple[int, ...], ...]  # per objective, ascending thresholds
     representative: Point
     successor: Point
     model: Tuple[int, ...]  # solver assignment snapshot (+1/-1 per var, index 0 unused)
     rounds: int  # clause-D rounds, the last (unsatisfiable) one included
+    cuts: Tuple[int, ...]  # per objective, the count of falsified thresholds
+    softs: Union[SoftSet, LadderSoftSet]
+
+    @property
+    def falsified(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per objective, the falsified thresholds, ascending."""
+        return tuple(tuple(self.softs.threshold(k, pos) for pos in range(cut))
+                     for k, cut in enumerate(self.cuts))
 
 
 def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence[int],
@@ -152,7 +158,7 @@ def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence
     """Verify that ``model`` sets every ``hold`` literal true and each
     ``improve`` literal true exactly where its objective's cut ``moved``
     below the one the literals were asked for; a literal the model does not
-    assign (created after it, or past a walk start) is skipped."""
+    assign (created after it) is skipped."""
     for k, (up, keep, down) in enumerate(zip(improve, hold, moved)):
         for lit, want, name in ((up, down, "improve"), (keep, True, "hold")):
             if abs(lit) < len(model) and ((model[abs(lit)] == 1) == (lit > 0)) != want:
@@ -214,11 +220,9 @@ def extract_mcs(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet],
     rounds = 0
     for witness, cuts in clause_d(solver, softs, base, solver.model):
         rounds += 1
-    falsified = tuple(tuple(softs.threshold(k, pos) for pos in range(cut))
-                      for k, cut in enumerate(cuts))
     rep = tuple(softs.threshold(k, cut - 1) for k, cut in enumerate(cuts))
     succ = tuple(softs.threshold(k, cut) for k, cut in enumerate(cuts))
-    return Mcs(falsified, rep, succ, witness, rounds)
+    return Mcs(rep, succ, witness, rounds, tuple(cuts), softs)
 
 
 def extract_mcs_literals(

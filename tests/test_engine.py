@@ -173,19 +173,18 @@ class TestCoefficientDriver:
         # identity, the walk solver.  At ratio 11 the four clause-D rounds of
         # the one MCS ask the extraction solver for 11 next to their
         # witnesses' values, and the walk of its witness, already at
-        # (3, 45), asks the walk solver for one improve and one hold
-        # threshold per objective, 4, and for the bound of the objectives'
-        # sum below 48, 1.  At ratio 2 the region block of the known record
-        # and one round ask for 5; the witness, at (3, 53), walks one step to
-        # (3, 45): 4 thresholds for the first round, 2 for the second
-        # objective, whose cut moved, and 1 for the bound below 56, which
-        # the second round keeps.  At ratios 11/10 and 101/100 only the
-        # region block of the known record asks, for one threshold per
-        # objective, and no MCS is left to walk
+        # (3, 45), asks the walk solver for one hold threshold per
+        # objective, 2, and for the bound of the objectives' sum below 48,
+        # 1.  At ratio 2 the region block of the known record and one round
+        # ask for 5; the witness, at (3, 53), walks one step to (3, 45): 2
+        # holds and the bound below 56 for the first step, then the second
+        # objective's new hold and the bound below 48 for the second, 2.  At
+        # ratios 11/10 and 101/100 only the region block of the known record
+        # asks, for one threshold per objective, and no MCS is left to walk
         result = core_solve(generate_mscp(20, 6, 2, seed=5),
                             RatioSchedule(start=11, divisor=10))
         assert [(t.ratio, t.objective_clauses, t.mcs_count) for t in result.trace] == [
-            (11, 11 + 4 + 1, 1), (2, 5 + 4 + 2 + 1, 1), (Fraction(11, 10), 2, 0),
+            (11, 11 + 2 + 1, 1), (2, 5 + 3 + 2, 1), (Fraction(11, 10), 2, 0),
             (Fraction(101, 100), 2, 0)]
         assert result.warranted_ratio == 1
         assert len(result.records) == 1

@@ -17,9 +17,10 @@ and the distance between the medians (parent minus change for a
 lower-is-better metric); per workload, whether the traced runs' deterministic
 counters (``COUNTERS``) are equal on both sides, and the names of any that
 differ, so a change meant to keep the search shows that it did; and both
-checkouts' git SHAs, the Python version and the number of usable cores.  A gain is shown when the change does
-better in at least nine pairs in ten and the medians differ by more than
-the parent's interquartile range.
+checkouts' git SHAs, the Python version and the number of usable cores.
+A gain is shown when the change does better in at least nine pairs in ten
+and the medians differ by more than the parent's interquartile range; each
+metric's pair summary says so in ``gain_shown``.
 
 Before the first pair, ``python -m compileall -q src perfbench`` runs in
 both checkouts (it writes bytecode even under ``PYTHONDONTWRITEBYTECODE``),
@@ -93,10 +94,13 @@ def _pairs(parent: list, change: list, better: str) -> dict:
     """How the change's runs compare with the parent's, pair by pair."""
     sign = 1 if better == "lower" else -1
     q1, _, q3 = statistics.quantiles(parent, n=4)
-    return {"change_better": sum(sign * (p - c) > 0 for p, c in zip(parent, change)),
+    change_better = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    median_gain = sign * (statistics.median(parent) - statistics.median(change))
+    return {"change_better": change_better,
             "pairs": len(parent),
             "parent_iqr": q3 - q1,
-            "median_gain": sign * (statistics.median(parent) - statistics.median(change))}
+            "median_gain": median_gain,
+            "gain_shown": change_better >= 0.9 * len(parent) and median_gain > q3 - q1}
 
 
 def main() -> None:
