@@ -237,10 +237,9 @@ class _Walk:
                 wanted = [self.total(sum(z))] + [lt(d + 1) for lt, d in zip(self.below, z)]
                 if not self.solver.solve(wanted):
                     break
-                values = self.solver.model
-                if not all((values[abs(lit)] == 1) == (lit > 0) for lit in wanted):
+                if not all(self.solver.model_value(lit) for lit in wanted):
                     raise McsInvariantError(f"a walk step's model falsifies an assumption of {z}")
-                record = _record(instance, values)
+                record = _record(instance, self.solver.model)
                 if record.image == z or not weakly_dominates(record.image, z):
                     raise McsInvariantError(f"walk step from {z} to {record.image} does not "
                                             "dominate it")

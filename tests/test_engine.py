@@ -190,6 +190,27 @@ class TestCoefficientDriver:
         assert len(result.records) == 1
         assert sorted(result.lower_bounds) == [(3, 45)]
 
+    @pytest.mark.parametrize("case", ["small covers", "conflict pool"])
+    def test_lower_bounds_are_the_rounded_front(self, case):
+        # a completed iteration's L is the front of the rounded objectives at
+        # its ratio: every representative is rounded-Pareto, and every
+        # rounded-Pareto point is a seed or a representative.  So L does not
+        # depend on which witnesses the search and the walk returned, even
+        # when earlier iterations' records seed it
+        if case == "small covers":
+            runs = [(generate_mscp(n, m, p, seed), schedule(11, target=2))
+                    for n, m, p in SMALL_COVER for seed in (1, 2)]
+        else:
+            pool, target = _conflict_pool()
+            runs = [(instance, schedule(11, target=target)) for instance in pool]
+        for instance, sched in runs:
+            result = core_solve(instance, sched)
+            assert not result.truncated and result.warranted_ratio == sched.target
+            rounded = dataclasses.replace(instance, objectives=tuple(
+                approx_coefficients(f, result.warranted_ratio).approx
+                for f in instance.objectives))
+            assert sorted(result.lower_bounds) == sorted(brute_force_pareto(rounded).pareto_front)
+
 
 FRONT = [(1, 22), (2, 17), (3, 15), (4, 10), (7, 5), (10, 1)]
 
@@ -296,6 +317,33 @@ class TestParetoWalk:
         with pytest.raises(McsInvariantError):
             walk.run(instance, _witness(instance, start))
         assert corrupted
+
+    def test_walk_asks_by_assumptions_alone(self, unconstrained_biobjective):
+        # every variable a walk adds is a threshold, at most p + 1 before each
+        # solve, and it adds no clause: no selector and no guarded clause
+        for instance in (unconstrained_biobjective, generate_mscp(10, 4, 3, 1)):
+            walk = _Walk.build(instance, None)
+            solver, solve = walk.solver, walk.solver.solve
+
+            def sizes():
+                return solver.num_vars, solver.num_thresholds
+
+            created, last = [], [sizes()]
+
+            def counting_solve(assumptions):
+                created.append(tuple(now - then for now, then in zip(sizes(), last[0])))
+                sat = solve(assumptions)
+                last[0] = sizes()
+                return sat
+
+            solver.solve = counting_solve
+            clauses = solver.num_clauses
+            for assignment in itertools.product((0, 1), repeat=instance.num_vars):
+                if is_feasible(instance, assignment):
+                    walk.run(instance, _witness(instance, assignment))
+            assert created and solver.num_clauses == clauses
+            assert all(vars_ == thresholds <= instance.num_objectives + 1
+                       for vars_, thresholds in created)
 
     def test_coefficient_records_are_walked(self, unconstrained_biobjective):
         result = core_solve(unconstrained_biobjective, schedule(4, divisor=3, target=2))
