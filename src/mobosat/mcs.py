@@ -1,16 +1,15 @@
 """Minimal correction subset extraction: one clause-D loop.
 
-``clause_d`` runs "clause D" rounds from a model of the hard clauses: split
-the soft literals into satisfied and falsified, add the disjunction of the
-falsified ones (guarded by a fresh selector so it can be retired; the
-solver has no deletion) and re-solve with the satisfied literals as
-assumptions, until a round is UNSAT.  Soft literals are the unary
+``extract_mcs`` solves once for a model of the hard clauses, then runs
+"clause D" rounds from it: split the soft literals into satisfied and
+falsified, add the disjunction of the falsified ones (guarded by a fresh
+selector so it can be retired; the solver has no deletion) and re-solve
+with the satisfied literals as assumptions, until a round is UNSAT.  The
+last model found is the MCS's witness.  Soft literals are the unary
 thresholds ``f < d`` of each objective, the falsified set per objective is
 a downward-closed prefix of its threshold domain, and the representative /
 successor points are the largest falsified and smallest satisfied
-thresholds.  ``extract_mcs`` solves once and runs the rounds to their end,
-which leaves an MCS and its witness.  The engine's Pareto walk does not
-run them: it solves under assumptions alone (``engine._Walk.run``).
+thresholds.
 
 The loop reads a model's prefix length per objective, its cut, from one of
 two soft sets.  A ``SoftSet`` holds explicit ``(d, literal)`` pairs and
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .model import LinearExpr, Point
 from .sat import SatSolver
@@ -166,29 +165,32 @@ def _check_literals(model: Sequence[int], improve: Sequence[int], hold: Sequence
                                         f"in a model whose value puts it {want}")
 
 
-def clause_d(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet], base: Sequence[int],
-             witness: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-    """Clause-D rounds from ``witness``, a model of the solver's clauses,
-    each round solving under ``base``.
+def extract_mcs(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet],
+                assumptions: Sequence[int] = ()) -> Optional[Mcs]:
+    """Extract one MCS over objective-threshold softs, with structure checks:
+    solve under ``assumptions``, then run clause-D rounds, each under
+    ``assumptions`` too, until one is unsatisfiable.  None when the first
+    solve is unsatisfiable.
 
-    Yields the witness and then the model each round finds, each with its
-    cuts, and ends at the first unsatisfiable round.  Because threshold
-    softs are monotone per objective, the satisfied set is summarized by one
-    literal per objective (the smallest satisfied threshold, ``hold``) and
-    the disjunction of falsified softs by the largest falsified one
-    (``improve``): each round solves under p+1 assumptions with a
-    (p+1)-literal guarded disjunction, with the semantics of literal
-    clause-D.
+    Because threshold softs are monotone per objective, the satisfied set
+    is summarized by one literal per objective (the smallest satisfied
+    threshold, ``hold``) and the disjunction of falsified softs by the
+    largest falsified one (``improve``): each round solves under p+1
+    assumptions with a (p+1)-literal guarded disjunction, with the
+    semantics of literal clause-D.
 
-    The witness each round starts from must set its ``hold`` literals true
+    The model each round starts from must set its ``hold`` literals true
     and its ``improve`` literals false; the model the round finds must set
     every ``hold`` literal true, an ``improve`` literal true exactly where
     its cut moved, and must shrink the cuts.  Any breach raises
     McsInvariantError.  SolveBudgetExceeded passes through.
     """
-    witness = tuple(witness)
+    base = list(assumptions)
+    if not solver.solve(base):
+        return None
+    witness = tuple(solver.model)
     cuts = softs.cuts(witness)
-    yield witness, cuts
+    rounds = 1
     while True:
         # disjunction of falsified softs == some largest-falsified threshold true
         improve = [softs.literal(k, cut - 1) for k, cut in enumerate(cuts)]
@@ -199,26 +201,13 @@ def clause_d(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet], base: Sequ
         sat = solver.solve([*base, selector, *hold])
         solver.add_clause([-selector])
         if not sat:
-            return
+            break
         model = tuple(solver.model)
         new_cuts = softs.cuts(model)
         if not all(n <= c for n, c in zip(new_cuts, cuts)) or new_cuts == cuts:
             raise McsInvariantError("clause-D round did not shrink the falsified set")
         _check_literals(model, improve, hold, [n < c for n, c in zip(new_cuts, cuts)])
         witness, cuts = model, new_cuts
-        yield witness, cuts
-
-
-def extract_mcs(solver: SatSolver, softs: Union[SoftSet, LadderSoftSet],
-                assumptions: Sequence[int] = ()) -> Optional[Mcs]:
-    """Extract one MCS over objective-threshold softs, with structure checks:
-    solve under ``assumptions``, then run ``clause_d`` to its end.  None
-    when the first solve is unsatisfiable."""
-    base = list(assumptions)
-    if not solver.solve(base):
-        return None
-    rounds = 0
-    for witness, cuts in clause_d(solver, softs, base, solver.model):
         rounds += 1
     rep = tuple(softs.threshold(k, cut - 1) for k, cut in enumerate(cuts))
     succ = tuple(softs.threshold(k, cut) for k, cut in enumerate(cuts))

@@ -68,11 +68,6 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-# largest split (SatSolver._split), in threshold variables per term: on
-# criterion 8's objectives, rounded at ratio 11 they need 5 to 9, with their
-# 44 and 49 distinct weights 70 to 104
-_TREE_PER_TERM = 16
-
 
 class SolveBudgetExceeded(Exception):
     """Raised once the solver's ``deadline`` has passed: by ``solve``, and
@@ -115,13 +110,6 @@ def _mask(terms: Sequence[Tuple[int, int]]) -> int:
 def _bits(mask: int) -> List[int]:
     """Positions of the set bits of ``mask``, ascending."""
     return [v for v, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
-
-
-def _tree_size(terms: Sequence[Tuple[int, int]]) -> int:
-    """Threshold variables ``_halves`` would create for ``terms``."""
-    half = len(terms) // 2
-    return sum(_mask(part).bit_count() - 1 + _tree_size(part)
-               for part in (terms[:half], terms[half:]) if len(part) > 1)
 
 
 def _halves(solver: "SatSolver", terms: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -293,16 +281,13 @@ class SatSolver:
         that its explanations, which conflict analysis learns over, name
         partial sums in place of single terms (lazy decomposition after Abio
         & Stuckey, CP 2012).  Called at a restart, once per sum.  A sum of
-        two terms or fewer, or one past ``_TREE_PER_TERM`` threshold
-        variables per term (many distinct weights), stays whole.  On
-        criterion 8 this cut CoRe's first iteration from about 46,000
-        conflicts to 8,313; splitting sums when they are made gave 9,137, and
-        about six times the solve time on the benchmark's anytime workloads,
-        whose sums seldom get busy.
+        two terms or fewer, or of more than two distinct weights, stays
+        whole: the split pays where a partial sum has few attainable values
+        and acts as a totalizer node (Joshi, Martins & Manquinho, CP 2015).
         """
         lin.settled = True
         terms = sorted(lin.signed_terms())  # equal weights side by side: few partial sums
-        if len(terms) <= 2 or _tree_size(terms) > _TREE_PER_TERM * len(terms):
+        if len(terms) <= 2 or len({w for w, _ in terms}) > 2:
             return
         codes = self._term_codes(_halves(self, terms))
         lwatch = self.lwatch

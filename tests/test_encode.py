@@ -181,7 +181,7 @@ class TestDecomposition:
     """A busy ladder's sum, split by the solver over partial sums, means the
     same."""
 
-    @pytest.mark.parametrize("weights", [[1] * 7, [2, 2, 2, 22, 22, 22, 22, 22], [5, 1, 3, 2]])
+    @pytest.mark.parametrize("weights", [[1] * 7, [2, 2, 2, 22, 22, 22, 22, 22], [3, 1, 3, 1, 1]])
     def test_decomposed_thresholds_exhaustive(self, weights):
         n = len(weights)
         f = LinearExpr(tuple((w, Literal(v + 1, v % 3 == 0)) for v, w in enumerate(weights)), 2)
@@ -198,17 +198,22 @@ class TestDecomposition:
                 assert s.model_value(y) == (value < d), (bits, d)
 
     def test_many_distinct_weights_not_decomposed(self):
-        # 60 terms with 44 distinct weights: partial sums would need about
-        # 100 threshold variables per term
-        f = generate_mscp(60, 20, 3, 2).objectives[1]
+        # only a sum of at most two distinct weights splits, where partial
+        # sums act as totalizer nodes; 44 distinct weights, four or three
+        # stay whole
+        cases = [generate_mscp(60, 20, 3, 2).objectives[1],
+                 *(LinearExpr(tuple((w, Literal(v + 1, v % 3 == 0)) for v, w in enumerate(ws)))
+                   for ws in ([5, 1, 3, 2], [2, 1, 4, 1, 2, 4]))]
+        for f in cases:
+            solver, encoder = fresh(len(f.terms))
+            whole = encode_objective(encoder, 0, f).linear
+            terms = list(whole.terms)
+            solver._split(whole)
+            assert whole.settled and whole.terms == terms and len(solver.linears) == 1
+        rounded = approx_coefficients(cases[0], 11).approx  # two distinct weights
         solver, encoder = fresh(60)
-        whole = encode_objective(encoder, 0, f).linear
-        terms = list(whole.terms)
-        solver._split(whole)
-        assert whole.settled and whole.terms == terms and len(solver.linears) == 1
-        rounded = approx_coefficients(f, 11).approx  # two distinct weights
         solver._split(encode_objective(encoder, 0, rounded).linear)
-        assert len(solver.linears) > 2
+        assert len(solver.linears) > 1
 
 
 class TestClauseCounting:

@@ -20,7 +20,7 @@ The two ``core(11)->11`` cases run CoRe's ratio-11 iteration on covering
 instances large enough to restart (5 and 11 restarts), which no other case
 does.  At those restarts the solver splits busy linear sums over partial
 sums (``SatSolver._split``): six sums in all, and the second case also
-reaches a busy sum too varied in its weights to split.
+reaches a busy sum of more than two distinct weights, which stays whole.
 
 A change that must not alter search or results prints the same lines as
 its parent:
